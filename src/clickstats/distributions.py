@@ -60,12 +60,14 @@ class PhotonDistribution:
         return moments(self)[1]
 
 
-def moments(p: PhotonDistribution) -> tuple[float, float]:
-    """Return (mean, variance) of a photon-number distribution."""
+def moments(p) -> tuple[float, float]:
+    """Return (mean, variance) of a photon-number (or click-number) distribution.
+
+    The variance is E[n^2] - E[n]^2, the form the witnesses are defined on.
+    """
     n = np.arange(p.probs.size, dtype=float)
     mean = float(n @ p.probs)
-    variance = float(((n - mean) ** 2) @ p.probs)
-    return mean, variance
+    return mean, float((n * n) @ p.probs) - mean * mean
 
 
 def _resolve_cutoff(requested, tail_beyond, label):

@@ -28,14 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .detector import DetectorModel, click_matrix
+from .detector import DEGENERATE_PROB, DetectorModel, click_matrix
 from .distributions import PhotonDistribution, coherent_pn
 from .errors import DegenerateConditioningError, InvalidArgumentError
 
 _NORM_ATOL = 1e-9
-
-#: Herald outcomes below this probability cannot be conditioned on.
-DEGENERATE_PROB = 1e-15
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,21 +25,23 @@ import numpy as np
 
 from .detector import ClickDistribution, CountRecord, DetectorModel, click_matrix
 from .distributions import PhotonDistribution
-from .errors import (
-    IllConditionedInversionError,
-    InvalidArgumentError,
-    UndefinedWitnessError,
-)
-from .witnesses import WitnessEstimate, q_mandel
+from .errors import IllConditionedInversionError, InvalidArgumentError
+from .witnesses import WitnessEstimate, mandel_rows, poisson_bootstrap, q_mandel
 
 _METHODS = ("constrained", "pseudo_inverse")
 
 #: Condition numbers beyond this make the linear solve meaningless.
 CONDITION_LIMIT = 1e12
 
+#: Negative mass a pseudo-inverse solution may carry and still be read as probabilities.
+_NEGATIVE_MASS_ATOL = 1e-9
+
 
 def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_iter: int | None = None) -> np.ndarray:
-    """Minimize ||A p - b||_2 over the probability simplex.
+    """Minimize ||A p - b||_2 over the probability simplex, for one or many b.
+
+    ``b`` is one right-hand side of shape (m,), giving p of shape (n,), or a
+    stack of R of them, shape (R, m), giving one solution per row, (R, n).
 
     Active-set iteration on the quadratic program: pinned coordinates sit
     at 0, the free ones solve the equality-constrained normal equations,
@@ -47,72 +49,90 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
     KKT conditions hold to within ``grad_tol``.  A pinned coordinate whose
     release makes no progress (its unpinned solution heads straight back
     below zero) is barred from release until the objective next improves,
-    which rules out cycling on degenerate data.
+    which rules out cycling on degenerate data.  All rows iterate together:
+    each step groups the unfinished rows by their active set, so rows that
+    share one solve it in a single KKT system.  Each row follows the
+    iteration it would follow alone, for at most ``max_iter`` steps.
     """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
+    B = np.asarray(b, dtype=float)
+    if A.ndim != 2 or B.ndim not in (1, 2) or B.shape[-1] != A.shape[0]:
         raise InvalidArgumentError("A must be 2-d with rows matching b")
-    dim = A.shape[1]
+    single = B.ndim == 1
+    B = np.atleast_2d(B)
+    rows, dim = B.shape[0], A.shape[1]
     G = A.T @ A
-    h = A.T @ b
+    H = B @ A  # row r: A.T @ b_r
     if max_iter is None:
         max_iter = 100 * dim + 100
 
-    def objective(v):
-        r = A @ v - b
-        return 0.5 * float(r @ r)
-
-    p = np.full(dim, 1.0 / dim)
-    active = np.zeros(dim, dtype=bool)
-    tabu: set[int] = set()
-    best = np.inf
+    P = np.full((rows, dim), 1.0 / dim)
+    active = np.zeros((rows, dim), dtype=bool)
+    tabu = np.zeros((rows, dim), dtype=bool)
+    best = np.full(rows, np.inf)
+    pending = np.arange(rows)
     for _ in range(max_iter):
-        free = np.flatnonzero(~active)
-        k = free.size
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = G[np.ix_(free, free)]
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.append(h[free], 1.0)
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        x = np.zeros(dim)
-        x[free] = sol[:k]
-        nu = sol[k]
+        if not pending.size:
+            break
+        # Solve the equality-constrained problem on the free coordinates,
+        # once per distinct active set.
+        pinned = active[pending]
+        X = np.zeros((pending.size, dim))
+        nu = np.empty(pending.size)
+        packed = np.packbits(pinned, axis=1)
+        keys = packed.view(f"V{packed.shape[1]}").ravel()  # sorts far faster than unique(axis=0)
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        for g, mask in enumerate(pinned[first]):
+            members = np.flatnonzero(group == g)
+            free = np.flatnonzero(~mask)
+            k = free.size
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = G[np.ix_(free, free)]
+            kkt[k, k] = 0.0
+            rhs = np.column_stack([H[np.ix_(pending[members], free)], np.ones(members.size)]).T
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            X[np.ix_(members, free)] = sol[:k].T
+            nu[members] = sol[k]
+        feasible = np.all(X >= -grad_tol, axis=1)
 
-        if np.all(x[free] >= -grad_tol):
-            x[free] = np.clip(x[free], 0.0, None)
-            p = x
-            value = objective(p)
-            if value < best - grad_tol:
-                best = value
-                tabu.clear()
-            grad = G @ p - h
-            candidates = [
-                i for i in np.flatnonzero(active) if i not in tabu and grad[i] - nu < -grad_tol
-            ]
-            if not candidates:
-                return p
-            release = min(candidates, key=lambda i: grad[i] - nu)
-            active[release] = False
-            tabu.add(release)
-            continue
+        # Feasible rows move to their solution, then release the pinned
+        # coordinate whose KKT multiplier grad + nu is most negative.
+        rows_f = pending[feasible]
+        x = np.clip(X[feasible], 0.0, None)
+        P[rows_f] = x
+        value = 0.5 * np.sum((x @ A.T - B[rows_f]) ** 2, axis=1)
+        improved = value < best[rows_f] - grad_tol
+        best[rows_f[improved]] = value[improved]
+        tabu[rows_f[improved]] = False
+        multiplier = x @ G - H[rows_f] + nu[feasible, None]
+        candidates = active[rows_f] & ~tabu[rows_f] & (multiplier < -grad_tol)
+        releasing = candidates.any(axis=1)
+        release = np.argmin(np.where(candidates, multiplier, np.inf), axis=1)[releasing]
+        active[rows_f[releasing], release] = False
+        tabu[rows_f[releasing], release] = True
 
-        # Step toward x until the first free coordinate hits zero.
+        # Infeasible rows step toward their solution until the first free
+        # coordinate hits zero, and pin that coordinate.
+        rows_i = pending[~feasible]
+        x, p = X[~feasible], P[rows_i]
         step = x - p
-        shrinking = np.flatnonzero((~active) & (step < 0) & (x < 0))
-        ratios = p[shrinking] / -step[shrinking]
-        alpha = min(1.0, float(ratios.min()))
-        if alpha > 0.0:
-            p = np.clip(p + alpha * step, 0.0, None)
-            tabu.clear()
-        block = shrinking[np.argmin(ratios)]
-        active[block] = True
-        p[block] = 0.0
-    raise RuntimeError("simplex least-squares did not converge")
+        shrinking = (step < 0) & (x < 0)  # x is 0 where pinned
+        ratios = np.divide(p, -step, out=np.full_like(p, np.inf), where=shrinking)
+        block = np.argmin(ratios, axis=1)
+        alpha = np.minimum(1.0, ratios[np.arange(rows_i.size), block])
+        moved = alpha > 0.0
+        p[moved] = np.clip(p[moved] + alpha[moved, None] * step[moved], 0.0, None)
+        tabu[rows_i[moved]] = False
+        p[np.arange(rows_i.size), block] = 0.0
+        P[rows_i] = p
+        active[rows_i, block] = True
+        pending = np.concatenate([rows_f[releasing], rows_i])
+    if pending.size:
+        raise RuntimeError("simplex least-squares did not converge")
+    return P[0] if single else P
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +159,7 @@ class InversionResult:
     def negative_mass(self) -> float:
         return float(-np.clip(self.probs, None, 0.0).sum())
 
-    def distribution(self, atol: float = 1e-9) -> PhotonDistribution:
+    def distribution(self, atol: float = _NEGATIVE_MASS_ATOL) -> PhotonDistribution:
         """The solution as a normalized distribution.
 
         Raises:
@@ -223,40 +243,28 @@ def mc_q_mandel_from_clicks(
 ) -> WitnessEstimate:
     """Bootstrap ``q_mandel_from_clicks`` under Poissonian counting noise.
 
-    Mirrors :func:`clickstats.witnesses.mc_witness`: each replica redraws
-    every count as Poisson around the observed value, is inverted, and its
-    recovered photon statistics are scored with the Mandel witness.
-    Replicas whose inversion or witness is undefined are dropped.
+    Runs :func:`clickstats.witnesses.poisson_bootstrap`, as ``mc_witness``
+    does: each replica redraws every count as Poisson around the observed
+    value, is inverted, and its recovered photon statistics are scored with
+    the Mandel witness.  All replicas are inverted by one batched
+    :func:`lstsq_simplex` call (or one pseudo-inverse product), matching
+    ``q_mandel_from_clicks`` on each replica up to round-off.  Replicas
+    whose witness is undefined (mean photon number 0, or pseudo-inverse
+    negative mass beyond 1e-9) are dropped.
     """
-    if n_replicas < 2:
-        raise InvalidArgumentError("n_replicas must be >= 2")
-    counts = np.asarray(record.counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        raise UndefinedWitnessError("count record is empty")
-    value = q_mandel_from_clicks(ClickDistribution(counts / total), det, n_max, method=method)
 
-    rng = np.random.default_rng(seed)
-    replicas = rng.poisson(lam=counts, size=(n_replicas, counts.size)).astype(float)
-    samples = []
-    for row in replicas:
-        row_total = row.sum()
-        if row_total <= 0:
-            continue
-        try:
-            q = q_mandel_from_clicks(ClickDistribution(row / row_total), det, n_max, method=method)
-        except (UndefinedWitnessError, InvalidArgumentError):
-            continue
-        samples.append(q)
-    if len(samples) < 2:
-        raise UndefinedWitnessError(
-            f"only {len(samples)} of {n_replicas} replicas gave a defined witness"
-        )
-    samples = np.asarray(samples)
-    return WitnessEstimate(
-        value=value,
-        std_error=float(samples.std(ddof=1)),
-        n_replicas=int(samples.size),
-        dropped_fraction=1.0 - samples.size / n_replicas,
-        samples=samples,
-    )
+    def point(c: ClickDistribution) -> float:
+        return q_mandel_from_clicks(c, det, n_max, method=method)
+
+    def replica_values(freqs: np.ndarray) -> np.ndarray:
+        # ``point`` ran first and has checked det, n_max, method and cond(L).
+        L = click_matrix(det.with_efficiency(1.0), n_max)
+        if method == "pseudo_inverse":
+            probs = freqs @ np.linalg.pinv(L).T
+            probs = probs[-np.clip(probs, None, 0.0).sum(axis=1) <= _NEGATIVE_MASS_ATOL]
+        else:
+            probs = lstsq_simplex(L, freqs)
+        probs = np.clip(probs, 0.0, None)
+        return mandel_rows(probs / probs.sum(axis=1, keepdims=True))
+
+    return poisson_bootstrap(record, point, replica_values, n_replicas, seed)

@@ -14,23 +14,26 @@ Three normalized dispersion measures:
 ``mc_witness`` propagates counting noise through either click witness by
 parametric bootstrap: replica records are drawn with each entry Poisson
 around the observed count, mirroring how raw coincidence counters
-accumulate events.
+accumulate events.  ``poisson_bootstrap`` is that bootstrap, shared with
+the inversion-route ``mc_q_mandel_from_clicks``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import ClickDistribution, CountRecord
-from .distributions import PhotonDistribution
+from .distributions import PhotonDistribution, moments
 from .errors import InvalidArgumentError, UndefinedWitnessError
-
-_WITNESSES = ("Q_B", "Q_F")
 
 #: Relative floor under which a mean click number makes the witnesses 0/0.
 _MEAN_FLOOR = 1e-300
+
+#: Mean clicks this close to N leave the binomial witness no spread.
+_PINNED_GAP = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,35 +61,11 @@ class WitnessEstimate:
         object.__setattr__(self, "samples", samples)
 
 
-def _moments(probs: np.ndarray) -> tuple[float, float]:
-    idx = np.arange(probs.size)
-    mean = float(idx @ probs)
-    var = float((idx * idx) @ probs) - mean * mean
-    return mean, var
-
-
 def q_mandel(p: PhotonDistribution) -> float:
     """Variance-to-mean witness on photon numbers: Var(n)/E(n) - 1."""
-    mean, var = _moments(p.probs)
+    mean, var = moments(p)
     if mean <= _MEAN_FLOOR:
         raise UndefinedWitnessError("mean photon number is 0")
-    return var / mean - 1.0
-
-
-def _q_binomial_raw(probs: np.ndarray) -> float:
-    n_bins = probs.size - 1
-    mean, var = _moments(probs)
-    if mean <= _MEAN_FLOOR or mean >= n_bins - 1e-15:
-        raise UndefinedWitnessError(
-            f"mean click number {mean!r} leaves no binomial spread over {n_bins} bins"
-        )
-    return n_bins * var / (mean * (n_bins - mean)) - 1.0
-
-
-def _q_fake_raw(probs: np.ndarray) -> float:
-    mean, var = _moments(probs)
-    if mean <= _MEAN_FLOOR:
-        raise UndefinedWitnessError("mean click number is 0")
     return var / mean - 1.0
 
 
@@ -96,7 +75,13 @@ def q_binomial(c: ClickDistribution) -> float:
     Zero for binomial click statistics (coherent light through an ideal
     multiplexed detector); negative only for nonclassical light.
     """
-    return _q_binomial_raw(c.probs)
+    n_bins = c.n_bins
+    mean, var = moments(c)
+    if mean <= _MEAN_FLOOR or mean >= n_bins - _PINNED_GAP:
+        raise UndefinedWitnessError(
+            f"mean click number {mean!r} leaves no binomial spread over {n_bins} bins"
+        )
+    return n_bins * var / (mean * (n_bins - mean)) - 1.0
 
 
 def q_fake(c: ClickDistribution) -> float:
@@ -105,60 +90,85 @@ def q_fake(c: ClickDistribution) -> float:
     Not a witness.  For coherent light on an ideal N-bin detector the
     clicks are Binomial(N, q) and this returns -q < 0.
     """
-    return _q_fake_raw(c.probs)
+    mean, var = moments(c)
+    if mean <= _MEAN_FLOOR:
+        raise UndefinedWitnessError("mean click number is 0")
+    return var / mean - 1.0
+
+
+def _row_moments(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, variance) of each row of a stack of distributions, as ``moments``."""
+    n = np.arange(probs.shape[1], dtype=float)
+    mean = probs @ n
+    return mean, probs @ (n * n) - mean * mean
+
+
+def mandel_rows(probs: np.ndarray) -> np.ndarray:
+    """Var/E - 1 of each row of ``probs`` (``q_mandel``, ``q_fake``), rows with mean 0 left out."""
+    mean, var = _row_moments(probs)
+    keep = mean > _MEAN_FLOOR
+    return var[keep] / mean[keep] - 1.0
+
+
+def _binomial_rows(probs: np.ndarray) -> np.ndarray:
+    """``q_binomial`` of each row of ``probs``, rows with mean clicks pinned at 0 or N left out."""
+    n_bins = probs.shape[1] - 1
+    mean, var = _row_moments(probs)
+    keep = (mean > _MEAN_FLOOR) & (mean < n_bins - _PINNED_GAP)
+    return n_bins * var[keep] / (mean[keep] * (n_bins - mean[keep])) - 1.0
+
+
+#: Click witness name -> (the witness, the same witness over replica rows).
+_WITNESSES = {"Q_B": (q_binomial, _binomial_rows), "Q_F": (q_fake, mandel_rows)}
 
 
 def witness_from_counts(record: CountRecord, witness: str) -> float:
     """Evaluate a click witness on raw counts (relative frequencies)."""
     if witness not in _WITNESSES:
-        raise InvalidArgumentError(f"witness must be one of {_WITNESSES}, got {witness!r}")
+        raise InvalidArgumentError(f"witness must be one of {tuple(_WITNESSES)}, got {witness!r}")
     counts = np.asarray(record.counts, dtype=float)
     total = counts.sum()
     if total <= 0:
         raise UndefinedWitnessError("count record is empty")
-    probs = counts / total
-    return _q_binomial_raw(probs) if witness == "Q_B" else _q_fake_raw(probs)
+    return _WITNESSES[witness][0](ClickDistribution(counts / total))
 
 
-def mc_witness(
+def poisson_bootstrap(
     record: CountRecord,
-    witness: str,
-    n_replicas: int = 10_000,
-    seed=None,
+    point: Callable[[ClickDistribution], float],
+    replica_values: Callable[[np.ndarray], np.ndarray],
+    n_replicas: int,
+    seed,
 ) -> WitnessEstimate:
-    """Bootstrap a click witness under Poissonian counting noise.
+    """The bootstrap engine behind every ``mc_*`` witness.
 
-    Each replica redraws every counts[i] as Poisson(counts[i]) and
-    re-evaluates the witness on the replica frequencies.  The reported
-    value is the witness of the observed record; the standard error is the
-    sample standard deviation over defined replicas.  Replicas with an
-    undefined witness (empty record, or mean clicks pinned at 0 or N) are
-    dropped and reported via ``dropped_fraction``.
+    ``point`` scores the observed frequencies.  The replicas redraw every
+    counts[i] as Poisson(counts[i]), as one (n_replicas, N+1) draw; those
+    with zero total are dropped, and ``replica_values`` maps the frequency
+    matrix of the rest to the values of its rows with a defined witness.
+
+    Raises:
+        InvalidArgumentError: n_replicas < 2, or counts beyond numpy's
+            Poisson sampler (~9.2e18).
+        UndefinedWitnessError: an empty record, or < 2 defined replicas.
     """
-    if witness not in _WITNESSES:
-        raise InvalidArgumentError(f"witness must be one of {_WITNESSES}, got {witness!r}")
     if n_replicas < 2:
         raise InvalidArgumentError("n_replicas must be >= 2")
-    value = witness_from_counts(record, witness)
+    counts = np.asarray(record.counts, dtype=float)
+    total = counts.sum()
+    if total <= 0:
+        raise UndefinedWitnessError("count record is empty")
+    value = point(ClickDistribution(counts / total))
 
     rng = np.random.default_rng(seed)
-    counts = np.asarray(record.counts, dtype=float)
-    n_bins = counts.size - 1
-    replicas = rng.poisson(lam=counts, size=(n_replicas, counts.size)).astype(float)
-
-    totals = replicas.sum(axis=1)
-    idx = np.arange(counts.size, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = (replicas @ idx) / totals
-        second = (replicas @ (idx * idx)) / totals
-        variances = second - means * means
-        if witness == "Q_B":
-            defined = (totals > 0) & (means > 0) & (means < n_bins)
-            values = n_bins * variances / (means * (n_bins - means)) - 1.0
-        else:
-            defined = (totals > 0) & (means > 0)
-            values = variances / means - 1.0
-    samples = values[defined]
+    try:
+        replicas = rng.poisson(lam=counts, size=(n_replicas, counts.size))
+    except ValueError as exc:
+        raise InvalidArgumentError(f"counts too large to resample: {exc}") from None
+    totals = replicas.sum(axis=1, dtype=float)
+    if not totals.all():  # copy the rows only when some replica is empty
+        replicas, totals = replicas[totals > 0], totals[totals > 0]
+    samples = replica_values(replicas / totals[:, None])
     if samples.size < 2:
         raise UndefinedWitnessError(
             f"only {samples.size} of {n_replicas} replicas gave a defined witness"
@@ -170,3 +180,24 @@ def mc_witness(
         dropped_fraction=1.0 - samples.size / n_replicas,
         samples=samples,
     )
+
+
+def mc_witness(
+    record: CountRecord,
+    witness: str,
+    n_replicas: int = 10_000,
+    seed=None,
+) -> WitnessEstimate:
+    """Bootstrap a click witness under Poissonian counting noise.
+
+    Runs :func:`poisson_bootstrap`, all replicas at once.  The reported
+    value is the witness of the observed record; the standard error is the
+    sample standard deviation over defined replicas.  Replicas with an
+    undefined witness (empty record, or mean clicks pinned at 0 or N) are
+    dropped and reported via ``dropped_fraction``.
+    """
+    if witness not in _WITNESSES:
+        raise InvalidArgumentError(f"witness must be one of {tuple(_WITNESSES)}, got {witness!r}")
+    point, replica_values = _WITNESSES[witness]
+    return poisson_bootstrap(record, point, replica_values, n_replicas, seed)
+

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from clickstats import DetectorModel, click_matrix, coherent_pn, fock_pn, forward_clicks
+from clickstats import CountRecord, DetectorModel, click_matrix, coherent_pn, fock_pn, forward_clicks
 from clickstats.cli import main
 from clickstats.io import (
     click_distribution_to_csv,
@@ -102,6 +102,14 @@ def test_witness_on_counts_is_deterministic(tmp_path, capsys):
     payload = json.loads(first)
     assert set(payload) >= {"value", "std_error", "n_replicas", "dropped_fraction"}
     assert payload["std_error"] > 0
+
+
+@pytest.mark.parametrize("extra", [[], ["--witness", "Q_M", "--detector", "ideal:2"]])
+def test_witness_on_counts_too_large_to_resample(tmp_path, capsys, extra):
+    path = tmp_path / "counts.csv"
+    path.write_text(count_record_to_csv(CountRecord((10**19, 5, 3))))
+    err = run_fail(capsys, ["witness", "--input", str(path), "--replicas", "10", *extra], "invalid-argument")
+    assert "too large" in err
 
 
 def test_witness_q_mandel_through_inversion(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clickstats import (
     ClickDistribution,
@@ -8,6 +11,8 @@ from clickstats import (
     IllConditionedInversionError,
     InvalidArgumentError,
     PhotonDistribution,
+    UndefinedWitnessError,
+    click_matrix,
     forward_clicks,
     fock_pn,
     invert_clicks,
@@ -23,19 +28,57 @@ def objective(A, x, b):
     return float(np.sum((A @ x - b) ** 2))
 
 
+def _heavy_tailed_gapped_clicks(rng, size):
+    """Pareto click weights with about half the click numbers emptied."""
+    c = rng.pareto(1.0, size=size)
+    c[rng.random(size) < 0.5] = 0.0
+    if c.sum() == 0:
+        c[0] = 1.0
+    return c / c.sum()
+
+
 def test_lstsq_simplex_matches_support_enumeration():
     rng = np.random.default_rng(19)
+    cases = []
     for dim in range(3, 9):
         for trial in range(4):
             A = rng.standard_normal((dim + 2, dim))
             if trial == 3:
                 A[:, 1] = A[:, 0]  # duplicate columns, degenerate optimum
-            b = rng.standard_normal(dim + 2)
-            x = lstsq_simplex(A, b)
-            assert np.all(x >= 0)
-            assert np.isclose(x.sum(), 1.0, atol=1e-12)
-            ref = lstsq_simplex_by_enumeration(A, b)
-            assert objective(A, x, b) == pytest.approx(objective(A, ref, b), abs=1e-8)
+            cases.append((A, rng.standard_normal(dim + 2)))
+    # Truncated records whose optimum pins coordinates and must release
+    # some again: the release test has to use the KKT multiplier grad + nu.
+    L = click_matrix(DetectorModel(8), 8)
+    cases += [(L, _heavy_tailed_gapped_clicks(rng, 9)) for _ in range(120)]
+    for A, b in cases:
+        x = lstsq_simplex(A, b)
+        assert np.all(x >= 0)
+        assert np.isclose(x.sum(), 1.0, atol=1e-12)
+        ref = lstsq_simplex_by_enumeration(A, b)
+        assert objective(A, x, b) == pytest.approx(objective(A, ref, b), abs=1e-8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batched_lstsq_simplex_rows_match_single_calls_and_enumeration(data):
+    dim = data.draw(st.integers(2, 6), label="dim")
+    m = data.draw(st.integers(dim, dim + 3), label="m")
+    rows = data.draw(st.integers(1, 6), label="rows")
+    A = data.draw(arrays(float, (m, dim), elements=st.floats(0.01, 1.0)), label="A")
+    A = A / A.sum(axis=0)  # column-stochastic, as a click law
+    B = data.draw(arrays(float, (rows, m), elements=st.floats(0.0, 1.0)), label="B")
+    B[B.sum(axis=1) == 0] = 1.0
+    B = B / B.sum(axis=1, keepdims=True)
+    X = lstsq_simplex(A, B)
+    assert X.shape == (rows, dim)
+    unique_optimum = np.linalg.cond(A) < 1e6  # else only the objective is determined
+    for x, b in zip(X, B):
+        single = lstsq_simplex(A, b)
+        ref = lstsq_simplex_by_enumeration(A, b)
+        assert objective(A, x, b) == pytest.approx(objective(A, single, b), abs=1e-12)
+        assert objective(A, x, b) == pytest.approx(objective(A, ref, b), abs=1e-12)
+        if unique_optimum:
+            np.testing.assert_allclose(x, single, rtol=0, atol=1e-9)
 
 
 def test_lstsq_simplex_exact_interior_solution():
@@ -133,3 +176,62 @@ def test_mc_q_mandel_from_clicks_reproducible():
     assert abs(a.value + 0.6) < 4 * a.std_error + 0.05
     with pytest.raises(InvalidArgumentError):
         mc_q_mandel_from_clicks(rec, det, n_max=8, n_replicas=1, seed=0)
+
+
+def _replica_loop(record, det, n_max, method, n_replicas, seed):
+    """The bootstrap one replica at a time: the same seeded Poisson draws,
+    each scored by ``q_mandel_from_clicks`` and dropped when undefined."""
+    counts = np.asarray(record.counts, dtype=float)
+    rng = np.random.default_rng(seed)
+    values = []
+    for row in rng.poisson(lam=counts, size=(n_replicas, counts.size)).astype(float):
+        if row.sum() <= 0:
+            continue
+        try:
+            values.append(q_mandel_from_clicks(ClickDistribution(row / row.sum()), det, n_max, method=method))
+        except (UndefinedWitnessError, InvalidArgumentError):
+            continue
+    return np.array(values)
+
+
+_DET = DetectorModel(n_bins=8, efficiency=0.6)
+_DENSE = (20_000, 3_000, 150, 0, 0, 0, 0, 0, 0)
+_FEW = (40, 3, 0, 0, 0, 0, 0, 0, 0)  # many replicas see no click: mean 0, dropped
+_NEAR_NEGATIVE = (1_000, 2, 12, 0, 0, 0, 0, 0, 0)  # replicas past L^-1 c >= 0
+_SPARSE_TAIL = (5_000, 800, 60, 4, 0, 1, 0, 0, 1)  # gaps: the active set on most rows
+
+
+@pytest.mark.parametrize(
+    "counts,method",
+    [
+        (_DENSE, "constrained"),
+        (_DENSE, "pseudo_inverse"),
+        (_FEW, "constrained"),
+        (_FEW, "pseudo_inverse"),
+        (_NEAR_NEGATIVE, "constrained"),
+        (_NEAR_NEGATIVE, "pseudo_inverse"),
+        (_SPARSE_TAIL, "constrained"),
+    ],
+)
+def test_mc_q_mandel_matches_replica_by_replica_loop(counts, method):
+    record = CountRecord(counts)
+    est = mc_q_mandel_from_clicks(record, _DET, 8, method=method, n_replicas=200, seed=11)
+    loop = _replica_loop(record, _DET, 8, method, 200, 11)
+    assert est.samples.shape == loop.shape
+    np.testing.assert_allclose(est.samples, loop, rtol=0, atol=1e-9)
+    assert est.dropped_fraction == 1.0 - loop.size / 200
+    assert est.std_error == pytest.approx(loop.std(ddof=1), rel=1e-9)
+
+
+def test_replica_loop_records_cover_drops_and_the_active_set():
+    # Guards the coverage of the equivalence test above.
+    def dropped(counts, method):
+        return mc_q_mandel_from_clicks(CountRecord(counts), _DET, 8, method, 200, 11).dropped_fraction
+
+    assert dropped(_DENSE, "constrained") == dropped(_DENSE, "pseudo_inverse") == 0.0
+    assert dropped(_FEW, "constrained") > 0.01
+    assert dropped(_NEAR_NEGATIVE, "pseudo_inverse") > 0.1
+    L = click_matrix(_DET.with_efficiency(1.0), 8)
+    rows = np.random.default_rng(11).poisson(lam=np.array(_SPARSE_TAIL, dtype=float), size=(200, 9))
+    free = np.linalg.solve(L, (rows / rows.sum(axis=1, keepdims=True)).T)
+    assert np.mean((free < 0).any(axis=0)) > 0.5

@@ -10,6 +10,7 @@ from clickstats import (
     coherent_pn,
     fock_pn,
     forward_clicks,
+    mc_q_mandel_from_clicks,
     mc_witness,
     q_binomial,
     q_fake,
@@ -116,6 +117,16 @@ def test_mc_witness_rejects_hopeless_records():
         mc_witness(CountRecord((5, 5)), "Q_B", n_replicas=1, seed=0)
     with pytest.raises(InvalidArgumentError):
         mc_witness(CountRecord((5, 5)), "nope", n_replicas=10, seed=0)
+
+
+def test_bootstraps_reject_counts_too_large_to_resample():
+    # numpy's Poisson sampler refuses means beyond ~9.2e18.
+    rec = CountRecord((10**19, 5, 3))
+    for witness in ("Q_B", "Q_F"):
+        with pytest.raises(InvalidArgumentError, match="too large"):
+            mc_witness(rec, witness, n_replicas=10, seed=0)
+    with pytest.raises(InvalidArgumentError, match="too large"):
+        mc_q_mandel_from_clicks(rec, DetectorModel.ideal(2), 2, n_replicas=10, seed=0)
 
 
 def test_mc_witness_error_scale_tracks_events():
