@@ -74,7 +74,7 @@ class DetectorModel:
             w = tuple(float(x) for x in self.bin_weights)
             if len(w) != self.n_bins:
                 raise InvalidArgumentError("bin_weights length must equal n_bins")
-            if any(x < 0 for x in w):
+            if not all(x >= 0 for x in w):  # also rejects NaN
                 raise InvalidArgumentError("bin_weights must be >= 0")
             if abs(sum(w) - 1.0) > _WEIGHT_SUM_ATOL:
                 raise InvalidArgumentError(
@@ -109,6 +109,8 @@ class ClickDistribution:
         probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if probs.ndim != 1 or probs.size < 2:
             raise InvalidArgumentError("click probs must cover i = 0..N with N >= 1")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidArgumentError("click probabilities must be finite")
         if np.any(probs < -1e-12):
             raise InvalidArgumentError("click probabilities must be >= 0")
         probs = np.clip(probs, 0.0, None)
@@ -134,6 +136,8 @@ class JointClickDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise InvalidArgumentError("joint click probs must be a 2-d grid")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidArgumentError("joint click probabilities must be finite")
         if np.any(probs < -1e-12):
             raise InvalidArgumentError("joint click probabilities must be >= 0")
         probs = np.clip(probs, 0.0, None)
@@ -152,7 +156,10 @@ class CountRecord:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        try:
+            counts = tuple(int(c) for c in self.counts)
+        except (OverflowError, ValueError):
+            raise InvalidArgumentError("counts must be finite integers") from None
         if len(counts) < 2:
             raise InvalidArgumentError("counts must cover i = 0..N with N >= 1")
         if any(c < 0 for c in counts):
@@ -324,8 +331,11 @@ def sample_counts(c: ClickDistribution, expected_total: float, seed) -> CountRec
     Each counts[i] is Poisson with mean expected_total * c.probs[i];
     a fixed seed gives a reproducible record.
     """
-    if expected_total <= 0:
-        raise InvalidArgumentError("expected_total must be > 0")
+    if not (math.isfinite(expected_total) and expected_total > 0):
+        raise InvalidArgumentError(f"expected_total must be finite and > 0, got {expected_total!r}")
     rng = np.random.default_rng(seed)
-    counts = rng.poisson(expected_total * c.probs)
+    try:
+        counts = rng.poisson(expected_total * c.probs)
+    except ValueError as exc:  # numpy's Poisson sampler refuses lam >= ~9.2e18
+        raise InvalidArgumentError(f"expected_total too large to sample: {exc}") from None
     return CountRecord(tuple(int(x) for x in counts))

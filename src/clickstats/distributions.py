@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import CutoffOverflowError, InvalidArgumentError
 
@@ -24,6 +23,13 @@ TAIL_TOLERANCE = 1e-10
 HARD_CUTOFF_LIMIT = 512
 
 _NORM_ATOL = 1e-9
+
+#: Photon numbers at which coherent_pn evaluates the Poisson law, with their
+#: lgamma(k + 1).  Past mu + 40 sqrt(mu) + 40 the Poisson mass is below
+#: 1e-50, so for every mean up to HARD_CUTOFF_LIMIT the grid holds every
+#: tail the cutoff search can ask for.
+_POISSON_K = np.arange(HARD_CUTOFF_LIMIT + 40 * math.isqrt(HARD_CUTOFF_LIMIT) + 80)
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1) for k in range(_POISSON_K.size)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +42,8 @@ class PhotonDistribution:
         probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if probs.ndim != 1 or probs.size == 0:
             raise InvalidArgumentError("probs must be a non-empty 1-d vector")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidArgumentError("probabilities must be finite")
         if np.any(probs < 0) or np.any(probs > 1 + _NORM_ATOL):
             raise InvalidArgumentError("probabilities must lie in [0, 1]")
         total = probs.sum()
@@ -70,11 +78,12 @@ def moments(p) -> tuple[float, float]:
     return mean, float((n * n) @ p.probs) - mean * mean
 
 
-def _resolve_cutoff(requested, tail_beyond, label):
+def _resolve_cutoff(requested, tails, label):
     """Smallest cutoff >= requested whose tail mass is below TAIL_TOLERANCE.
 
-    ``tail_beyond(n)`` must return the untruncated mass at photon numbers > n.
-    Raises CutoffOverflowError if no cutoff up to HARD_CUTOFF_LIMIT suffices.
+    ``tails[n]`` must hold the untruncated mass at photon numbers > n for
+    n = 0..HARD_CUTOFF_LIMIT.  Raises CutoffOverflowError if no cutoff up to
+    HARD_CUTOFF_LIMIT suffices.
     """
     n = 0 if requested is None else int(requested)
     if n < 0:
@@ -83,14 +92,20 @@ def _resolve_cutoff(requested, tail_beyond, label):
         raise CutoffOverflowError(
             f"requested cutoff {n} exceeds hard limit {HARD_CUTOFF_LIMIT}"
         )
-    while tail_beyond(n) >= TAIL_TOLERANCE:
-        n += 1
-        if n > HARD_CUTOFF_LIMIT:
-            raise CutoffOverflowError(
-                f"{label}: tail mass cannot be brought below {TAIL_TOLERANCE} "
-                f"with cutoff <= {HARD_CUTOFF_LIMIT}"
-            )
-    return n
+    small = np.flatnonzero(tails[n : HARD_CUTOFF_LIMIT + 1] < TAIL_TOLERANCE)
+    if small.size == 0:
+        raise CutoffOverflowError(
+            f"{label}: tail mass cannot be brought below {TAIL_TOLERANCE} "
+            f"with cutoff <= {HARD_CUTOFF_LIMIT}"
+        )
+    return n + int(small[0])
+
+
+def _check_mean(mean_photons) -> float:
+    mu = float(mean_photons)
+    if not math.isfinite(mu) or mu < 0:
+        raise InvalidArgumentError(f"mean_photons must be finite and >= 0, got {mu!r}")
+    return mu
 
 
 def coherent_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribution:
@@ -99,19 +114,28 @@ def coherent_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribu
     The cutoff is extended beyond ``n_max`` if needed to keep the truncated
     tail below TAIL_TOLERANCE; the result is renormalized.
     """
-    mu = float(mean_photons)
-    if mu < 0:
-        raise InvalidArgumentError("mean_photons must be >= 0")
-    n_max = _resolve_cutoff(n_max, lambda n: stats.poisson.sf(n, mu), "coherent_pn")
-    probs = stats.poisson.pmf(np.arange(n_max + 1), mu)
+    mu = _check_mean(mean_photons)
+    if mu > HARD_CUTOFF_LIMIT:
+        # Over a third of the mass lies above any allowed cutoff.
+        raise CutoffOverflowError(
+            f"coherent_pn: mean {mu!r} exceeds the hard cutoff limit {HARD_CUTOFF_LIMIT}"
+        )
+    if mu == 0:
+        pmf = (_POISSON_K == 0).astype(float)
+    else:
+        # scipy's formula: exp(k log mu - mu - lgamma(k + 1))
+        pmf = np.exp(_POISSON_K * math.log(mu) - mu - _LOG_FACTORIALS)
+    # Direct sums of the non-negative terms above n, smallest first; never
+    # 1 - cdf, which cancels next to TAIL_TOLERANCE.
+    tails = np.cumsum(pmf[::-1])[::-1][1:]
+    n_max = _resolve_cutoff(n_max, tails, "coherent_pn")
+    probs = pmf[: n_max + 1]
     return PhotonDistribution(probs / probs.sum())
 
 
 def thermal_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribution:
     """Thermal (geometric) photon statistics: p_n \\propto mu^n / (1+mu)^(n+1)."""
-    mu = float(mean_photons)
-    if mu < 0:
-        raise InvalidArgumentError("mean_photons must be >= 0")
+    mu = _check_mean(mean_photons)
     if mu == 0:
         n_max = 0 if n_max is None else int(n_max)
         probs = np.zeros(n_max + 1)
@@ -119,7 +143,7 @@ def thermal_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribut
         return PhotonDistribution(probs)
     r = mu / (1.0 + mu)
     # tail beyond n is r^(n+1)
-    n_max = _resolve_cutoff(n_max, lambda n: r ** (n + 1), "thermal_pn")
+    n_max = _resolve_cutoff(n_max, r ** np.arange(1.0, HARD_CUTOFF_LIMIT + 2), "thermal_pn")
     n = np.arange(n_max + 1)
     log_probs = n * math.log(r) + math.log(1.0 - r)
     probs = np.exp(log_probs)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .detector import DEGENERATE_PROB, DetectorModel, click_matrix
 from .distributions import PhotonDistribution, coherent_pn
@@ -45,6 +44,8 @@ class TwoModeState:
         amps = np.asarray(self.amps, dtype=float)
         if amps.ndim != 2 or amps.size == 0:
             raise InvalidArgumentError("amps must be a 2-d amplitude grid")
+        if not np.all(np.isfinite(amps)):
+            raise InvalidArgumentError("amplitudes must be finite")
         norm = float(np.sum(amps * amps))
         if abs(norm - 1.0) > _NORM_ATOL:
             raise InvalidArgumentError(f"state norm is {norm!r}, expected 1")
@@ -106,24 +107,25 @@ def product_input(fock_n: int, alpha: float, cutoff: int | None = None) -> TwoMo
     """
     if int(fock_n) != fock_n or fock_n < 0:
         raise InvalidArgumentError("fock_n must be an integer >= 0")
-    if alpha < 0:
-        raise InvalidArgumentError("alpha must be >= 0 (real amplitude convention)")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidArgumentError("alpha must be finite and >= 0 (real amplitude convention)")
     coh = coherent_pn(alpha * alpha, n_max=cutoff)
     amps = np.zeros((int(fock_n) + 1, coh.n_max + 1))
     amps[int(fock_n), :] = np.sqrt(coh.probs)
     return TwoModeState(amps)
 
 
-def _sector_matrix(t: int, ct: float, st: float) -> np.ndarray:
+def _sector_matrix(t: int, ct: float, st: float, columns) -> np.ndarray:
     """Beam splitter restricted to the total-photon sector n_a + n_b = t.
 
-    Returns U with U[p, n] = <p, t-p| U |n, t-n>.  Column n is the
-    convolution of the binomial expansions of (ct a^dag - st b^dag)^n and
-    (st a^dag + ct b^dag)^(t-n), rescaled by exact factorial ratios.
+    Returns U with U[p, n] = <p, t-p| U |n, t-n> for every n in ``columns``
+    and zeros elsewhere.  Column n is the convolution of the binomial
+    expansions of (ct a^dag - st b^dag)^n and (st a^dag + ct b^dag)^(t-n),
+    rescaled by exact factorial ratios.
     """
-    U = np.empty((t + 1, t + 1))
+    U = np.zeros((t + 1, t + 1))
     fact = [math.factorial(i) for i in range(t + 1)]
-    for n in range(t + 1):
+    for n in columns:
         m = t - n
         b1 = np.array([math.comb(n, j) * ct**j * (-st) ** (n - j) for j in range(n + 1)])
         b2 = np.array([math.comb(m, k) * st**k * ct ** (m - k) for k in range(m + 1)])
@@ -152,14 +154,13 @@ def apply_beamsplitter(state: TwoModeState, bs: BeamSplitter, inverse: bool = Fa
     out = np.zeros((t_max + 1, t_max + 1))
     for t in range(t_max + 1):
         v = np.zeros(t + 1)
-        lo, hi = max(0, t - c_b), min(t, c_a)
-        for n in range(lo, hi + 1):
-            v[n] = amps[n, t - n]
-        if not np.any(v):
+        n = np.arange(max(0, t - c_b), min(t, c_a) + 1)
+        v[n] = amps[n, t - n]
+        columns = np.flatnonzero(v)
+        if columns.size == 0:
             continue
-        w = _sector_matrix(t, ct, st) @ v
-        for p in range(t + 1):
-            out[p, t - p] = w[p]
+        p = np.arange(t + 1)
+        out[p, t - p] = _sector_matrix(t, ct, st, columns.tolist()) @ v
     return TwoModeState(out)
 
 
@@ -168,8 +169,13 @@ def apply_loss(p: PhotonDistribution, efficiency: float) -> PhotonDistribution:
     probability ``efficiency``."""
     if not 0.0 <= efficiency <= 1.0:
         raise InvalidArgumentError("efficiency must lie in [0, 1]")
-    n = np.arange(p.n_max + 1)
-    loss = stats.binom.pmf(n[:, None], n[None, :], efficiency)
+    # loss[m, n] = C(n, m) eta^m (1 - eta)^(n - m), column by column with
+    # Pascal's rule: every term is non-negative, and eta = 0 or 1 is exact.
+    loss = np.zeros((p.n_max + 1, p.n_max + 1))
+    loss[0, 0] = 1.0
+    for n in range(1, p.n_max + 1):
+        loss[:, n] = (1.0 - efficiency) * loss[:, n - 1]
+        loss[1:, n] += efficiency * loss[:-1, n - 1]
     return PhotonDistribution(loss @ p.probs)
 
 

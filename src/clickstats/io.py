@@ -67,7 +67,7 @@ def count_record_to_csv(record: CountRecord) -> str:
     return _format_rows(_COUNTS_HEADER, enumerate(record.counts))
 
 
-def _parse_rows(text: str, expected_header):
+def _parse_rows(text: str, expected_header, convert):
     reader = csv.reader(_io.StringIO(text))
     try:
         header = next(reader)
@@ -83,7 +83,10 @@ def _parse_rows(text: str, expected_header):
             continue
         if len(row) != 2:
             raise InvalidArgumentError(f"malformed CSV row: {row!r}")
-        idx, val = int(row[0]), row[1]
+        try:
+            idx, val = int(row[0]), convert(row[1])
+        except ValueError as exc:
+            raise InvalidArgumentError(f"malformed CSV row {row!r}: {exc}") from None
         if idx != len(values):
             raise InvalidArgumentError(
                 f"CSV rows must enumerate 0..K consecutively; got index {idx} at row {len(values)}"
@@ -95,15 +98,15 @@ def _parse_rows(text: str, expected_header):
 
 
 def photon_distribution_from_csv(text: str) -> PhotonDistribution:
-    return PhotonDistribution(np.array([float(v) for v in _parse_rows(text, _PHOTON_HEADER)]))
+    return PhotonDistribution(np.array(_parse_rows(text, _PHOTON_HEADER, float)))
 
 
 def click_distribution_from_csv(text: str) -> ClickDistribution:
-    return ClickDistribution(np.array([float(v) for v in _parse_rows(text, _CLICKS_HEADER)]))
+    return ClickDistribution(np.array(_parse_rows(text, _CLICKS_HEADER, float)))
 
 
 def count_record_from_csv(text: str) -> CountRecord:
-    return CountRecord(tuple(int(v) for v in _parse_rows(text, _COUNTS_HEADER)))
+    return CountRecord(tuple(_parse_rows(text, _COUNTS_HEADER, int)))
 
 
 def sniff_click_csv(text: str) -> ClickDistribution | CountRecord:
@@ -319,7 +322,11 @@ def catalysis_result_to_dict(result: CatalysisSweepResult) -> dict:
 
 
 def to_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a NaN or infinity raises instead of printing ``NaN``."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvalidArgumentError(f"result is not finite: {exc}") from None
 
 
 def _opt(x, fmt=_frepr) -> str:

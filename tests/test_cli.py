@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,31 @@ def test_witness_on_counts_too_large_to_resample(tmp_path, capsys, extra):
     assert "too large" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["clicks,probability\n0,nan\n1,nan\n", "clicks,count\n0,nan\n1,nan\n"]
+)
+def test_witness_on_nan_csv_fails_cleanly(tmp_path, capsys, text):
+    path = tmp_path / "clicks.csv"
+    path.write_text(text)
+    assert main(["witness", "--input", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: invalid-argument:") and out.err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import clickstats.cli; import sys; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
 def test_witness_q_mandel_through_inversion(tmp_path, capsys):
     det_spec = "uniform:8,0.6"
     c = forward_clicks(fock_pn(1), DetectorModel(8, efficiency=0.6))
@@ -194,6 +223,15 @@ def test_sample_source_requires_detector(capsys):
     run_fail(
         capsys,
         ["sample", "--source", "thermal:0.4", "--events", "100"],
+        "invalid-argument",
+    )
+
+
+@pytest.mark.parametrize("events", ["nan", "inf", "1e30"])
+def test_sample_rejects_non_finite_or_huge_events(capsys, events):
+    run_fail(
+        capsys,
+        ["sample", "--source", "coherent:1", "--detector", "ideal:4", "--events", events],
         "invalid-argument",
     )
 

@@ -127,6 +127,23 @@ def test_click_distribution_validation():
     assert c.n_bins == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_detector_inputs_rejected(bad):
+    for kwargs in ({"bin_weights": (bad, 1.0)}, {"efficiency": bad}, {"dark_click_prob": bad}):
+        with pytest.raises(InvalidArgumentError):
+            DetectorModel(2, **kwargs)
+    with pytest.raises(InvalidArgumentError):
+        ClickDistribution(np.array([bad, 0.5]))
+    with pytest.raises(InvalidArgumentError):
+        ClickDistribution(np.array([bad, bad]))
+    with pytest.raises(InvalidArgumentError):
+        JointClickDistribution(np.array([[bad, 0.5], [0.25, 0.25]]))
+    with pytest.raises(InvalidArgumentError):
+        CountRecord((bad, 3))
+    with pytest.raises(InvalidArgumentError):
+        sample_counts(ClickDistribution(np.array([0.5, 0.5])), bad, seed=1)
+
+
 def test_joint_forward_and_conditioning():
     # Independent product input: conditioning must not change the other arm.
     p1 = coherent_pn(0.8, n_max=20)

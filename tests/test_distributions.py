@@ -11,6 +11,7 @@ from clickstats import (
     moments,
     thermal_pn,
 )
+from clickstats.distributions import HARD_CUTOFF_LIMIT, TAIL_TOLERANCE
 
 
 def test_photon_distribution_validates_and_freezes():
@@ -29,6 +30,28 @@ def test_coherent_matches_poisson(mu):
     ref = stats.poisson.pmf(np.arange(81), mu)
     assert np.allclose(p.probs, ref, atol=1e-13, rtol=0)
     assert np.isclose(p.probs.sum(), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mu", [1e-6, 0.3, 1.0, 6.0, 20.0, 75.0, 140.0, 200.0])
+def test_coherent_matches_scipy_pmf_relative(mu):
+    # scipy computes exp(k log mu - mu - lgamma(k + 1)) too; both round the
+    # exponent, so the relative gap grows with mu (4.3e-13 at mu = 200).
+    p = coherent_pn(mu)
+    ref = stats.poisson.pmf(np.arange(p.n_max + 1), mu)
+    np.testing.assert_allclose(p.probs, ref / ref.sum(), rtol=1e-12, atol=0)
+
+
+def test_coherent_cutoff_matches_scipy_sf_on_dense_grid():
+    n = np.arange(HARD_CUTOFF_LIMIT + 1)
+    for mu in np.arange(1, 3001) * 0.1:
+        expected = int(np.argmax(stats.poisson.sf(n, mu) < TAIL_TOLERANCE))
+        assert coherent_pn(mu).n_max == expected, mu
+
+
+def test_coherent_mean_beyond_hard_limit_overflows():
+    for mu in (HARD_CUTOFF_LIMIT + 1.0, 1e12):
+        with pytest.raises(CutoffOverflowError):
+            coherent_pn(mu)
 
 
 @pytest.mark.parametrize("mu", [0.2, 1.0, 3.0])
@@ -103,3 +126,15 @@ def test_negative_means_rejected(mu):
         coherent_pn(mu)
     with pytest.raises(InvalidArgumentError):
         thermal_pn(mu)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(InvalidArgumentError):
+        coherent_pn(bad)
+    with pytest.raises(InvalidArgumentError):
+        thermal_pn(bad)
+    with pytest.raises(InvalidArgumentError):
+        PhotonDistribution(np.array([bad, 0.5]))
+    with pytest.raises(InvalidArgumentError):
+        PhotonDistribution(np.array([bad]))

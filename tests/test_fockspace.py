@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from clickstats import (
     BeamSplitter,
     DegenerateConditioningError,
     DetectorModel,
     InvalidArgumentError,
+    PhotonDistribution,
     TwoModeState,
     apply_beamsplitter,
     apply_loss,
@@ -18,6 +23,7 @@ from clickstats import (
     q_mandel,
     thermal_pn,
 )
+from clickstats.fockspace import _sector_matrix
 from oracles import beamsplitter_sector_by_expm, two_photon_amplitudes
 
 
@@ -62,6 +68,30 @@ def test_sectors_match_matrix_exponential(transmittance, t):
     for n in range(t + 1):
         out = apply_beamsplitter(fock_two_mode(n, t - n), bs)
         np.testing.assert_allclose(sector_vector(out, t), oracle[:, n], atol=1e-12)
+
+
+@pytest.mark.parametrize("transmittance", [0.17, 0.5, 0.83])
+def test_superposition_sectors_match_matrix_exponential(transmittance):
+    # Every sector of a dense input has several non-zero columns, which the
+    # basis-state test above never exercises.
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((5, 6))
+    state = TwoModeState(raw / math.sqrt(np.sum(raw * raw)))
+    out = apply_beamsplitter(state, BeamSplitter(transmittance))
+    for t in range(4 + 5 + 1):
+        v = np.array([state.amps[n, t - n] if n <= 4 and t - n <= 5 else 0.0 for n in range(t + 1)])
+        oracle = beamsplitter_sector_by_expm(t, transmittance)
+        np.testing.assert_allclose(sector_vector(out, t), oracle @ v, atol=1e-12)
+    assert np.count_nonzero([state.amps[n, 5 - n] for n in range(5)]) == 5
+
+
+def test_partial_sector_matrix_columns_are_bit_identical():
+    ct, st_ = math.sqrt(0.37), math.sqrt(0.63)
+    for t in (1, 4, 9):
+        full = _sector_matrix(t, ct, st_, range(t + 1))
+        part = _sector_matrix(t, ct, st_, [1, t])
+        assert np.array_equal(part[:, [1, t]], full[:, [1, t]])
+        assert not np.any(np.delete(part, [1, t], axis=1))
 
 
 @pytest.mark.parametrize("transmittance", [0.3, 0.7])
@@ -128,6 +158,36 @@ def test_apply_loss_closed_forms():
 
     with pytest.raises(InvalidArgumentError):
         apply_loss(fock_pn(1), 1.5)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.07, 0.5, 1.0])
+def test_apply_loss_matches_scipy_binomial(eta):
+    n = np.arange(121)
+    ref = stats.binom.pmf(n[:, None], n[None, :], eta)
+    loss = np.column_stack([apply_loss(fock_pn(k, n_max=120), eta).probs for k in n])
+    np.testing.assert_allclose(loss, ref, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    raw=arrays(float, st.integers(1, 40), elements=st.floats(0.0, 1.0)),
+    a=st.floats(0.0, 1.0),
+    b=st.floats(0.0, 1.0),
+)
+def test_apply_loss_composes(raw, a, b):
+    if raw.sum() == 0:
+        raw[0] = 1.0
+    p = PhotonDistribution(raw / raw.sum())
+    twice = apply_loss(apply_loss(p, a), b)
+    np.testing.assert_allclose(twice.probs, apply_loss(p, a * b).probs, rtol=0, atol=1e-14)
+
+
+def test_non_finite_amplitudes_rejected():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidArgumentError):
+            TwoModeState(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidArgumentError, match="alpha"):
+            product_input(1, bad)
 
 
 def test_catalysis_zero_reflectivity_passes_coherent_through():

@@ -77,6 +77,12 @@ def test_csv_parser_rejects_malformed_input():
         photon_distribution_from_csv("n,probability\n0,0.5\n2,0.5\n")  # gap
     with pytest.raises(InvalidArgumentError):
         photon_distribution_from_csv("n,probability\n0,0.5,extra\n")
+    with pytest.raises(InvalidArgumentError):
+        photon_distribution_from_csv("n,probability\nx,1.0\n")
+    with pytest.raises(InvalidArgumentError):
+        click_distribution_from_csv("clicks,probability\n0,nan\n1,nan\n")
+    with pytest.raises(InvalidArgumentError):
+        count_record_from_csv("clicks,count\n0,nan\n1,3\n")
 
 
 def test_parse_source_spec():
@@ -247,3 +253,9 @@ def test_to_json_is_sorted_and_newline_terminated():
     text = to_json({"b": 1, "a": 2})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+def test_to_json_refuses_non_finite_numbers():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidArgumentError):
+            to_json({"value": bad})
