@@ -30,6 +30,7 @@ from .errors import (
     DegenerateConditioningError,
     IllConditionedInversionError,
     InvalidArgumentError,
+    SolverNotConvergedError,
     UndefinedWitnessError,
 )
 from .experiments import (
@@ -85,6 +86,7 @@ __all__ = [
     "InversionResult",
     "JointClickDistribution",
     "PhotonDistribution",
+    "SolverNotConvergedError",
     "TmsvConfig",
     "TmsvResult",
     "TmsvRow",

@@ -2,7 +2,7 @@
 
 A multiplexed detector splits an incoming pulse over N bins (spatial or
 temporal), each read out by an on/off detector.  It reports the number of
-clicking bins, not the number of photons.  This module computes the exact
+clicking bins, not the number of photons.  This module computes the
 conditional click law P(i clicks | n photons), maps photon-number
 distributions to click distributions, handles joint two-detector statistics
 and conditioning, and samples count records.
@@ -12,37 +12,37 @@ Conventions:
 - Photons are distributed over bins independently (multinomial statistics,
   bin b with probability ``bin_weights[b]``), which is exact for the
   phase-insensitive diagonal POVM of an on/off counter array.
-- Per-photon efficiency eta is folded directly into the inclusion-exclusion
-  survival terms: for a bin subset S, P(a given photon produces no click in
-  S) = 1 - eta * sum(w_b, b in S).
+- Per-photon efficiency eta is folded into the placement: a photon is lost
+  with probability 1 - eta and lands in bin b with probability eta * w_b.
 - Dark clicks flip each silent bin independently with ``dark_click_prob``
   after photon assignment.
 
-The inclusion-exclusion sum has alternating terms with large binomial
-weights and is numerically fragile in floating point (entries that are
-exactly zero come out at ~1e-9 for N=32).  It is therefore evaluated in
-exact integer arithmetic over a common denominator and rounded to float
-once, at the end; columns then sum to 1 to machine precision and no entry
-is ever negative.
+The click law is built photon by photon as a Markov chain over the lit
+bins (Sperling, Vogel & Agarwal, PRA 85, 023820 (2012)): over the number
+of lit bins for uniform weights, over the set of lit bins otherwise.  The
+dark clicks are one binomial matrix applied after it.  Every term of both
+recurrences and of the dark-click matrix is non-negative, so nothing
+cancels: entries that are zero come out exactly zero, no entry is
+negative, and columns sum to 1 to within accumulated rounding (< 1e-13).
+The textbook inclusion-exclusion sum, by contrast, alternates with large
+binomial weights and loses nine digits in floating point at N=32.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from .distributions import binomial_matrix
 from .errors import DegenerateConditioningError, InvalidArgumentError
 
 _WEIGHT_SUM_ATOL = 1e-12
 _CLICK_NORM_ATOL = 1e-9
 
-#: Exact subset enumeration for non-uniform weights is limited to this many bins.
+#: The lit-set recurrence for non-uniform weights (2^N states) is limited to this many bins.
 MAX_NONUNIFORM_BINS = 16
 
 #: Conditioning below this probability cannot be normalized meaningfully.
@@ -67,7 +67,7 @@ class DetectorModel:
     dark_click_prob: float = 0.0
 
     def __post_init__(self):
-        if int(self.n_bins) != self.n_bins or self.n_bins < 1:
+        if not math.isfinite(self.n_bins) or int(self.n_bins) != self.n_bins or self.n_bins < 1:
             raise InvalidArgumentError("n_bins must be an integer >= 1")
         object.__setattr__(self, "n_bins", int(self.n_bins))
         if self.bin_weights is not None:
@@ -175,105 +175,64 @@ class CountRecord:
         return len(self.counts) - 1
 
 
-def _survival_bases(det: DetectorModel):
-    """Integer survival terms for the inclusion-exclusion sum.
-
-    Returns (groups, D) where groups[j] is a list of (A, multiplicity) pairs
-    such that, for each bin subset C with |C| = j, the probability that a
-    single photon causes no click outside C is A / D.
-    """
-    N = det.n_bins
-    eta = Fraction(det.efficiency)
-    a, b = eta.numerator, eta.denominator
+def _lit_bins(det: DetectorModel, n_max: int) -> np.ndarray:
+    """P(i bins lit | n photons) before dark clicks, one photon at a time."""
+    N, eta = det.n_bins, det.efficiency
+    lit = np.zeros((N + 1, n_max + 1))
+    lit[0, 0] = 1.0
     if det.is_uniform:
-        # All subsets of size j share the survival term (1-eta) + eta*j/N.
-        D = b * N
-        groups = [[((b - a) * N + a * j, math.comb(N, j))] for j in range(N + 1)]
-        return groups, D
+        # With i bins lit, a photon keeps i with probability
+        # (1 - eta) + eta i/N and lights a new bin with eta (N - i)/N.
+        i = np.arange(N + 1)
+        stay = (1.0 - eta) + eta * i / N
+        move = eta * (N - i[:-1]) / N
+        for n in range(1, n_max + 1):
+            lit[:, n] = stay * lit[:, n - 1]
+            lit[1:, n] += move * lit[:-1, n - 1]
+        return lit
     if N > MAX_NONUNIFORM_BINS:
         raise InvalidArgumentError(
-            f"exact click matrix with non-uniform weights is limited to "
+            f"click matrix with non-uniform weights is limited to "
             f"{MAX_NONUNIFORM_BINS} bins (got {N})"
         )
-    weights = [Fraction(w) for w in det.bin_weights]
-    V = math.lcm(*[w.denominator for w in weights])
-    U = [int(w * V) for w in weights]
-    D = b * V
-    base0 = (b - a) * V
-    groups = []
-    for j in range(N + 1):
-        acc = defaultdict(int)
-        for combo in itertools.combinations(range(N), j):
-            acc[base0 + a * sum(U[x] for x in combo)] += 1
-        groups.append(sorted(acc.items()))
-    return groups, D
-
-
-def _photon_click_numerators(det: DetectorModel, n_max: int):
-    """Exact numerators M[i][n] with P(i clicks | n photons) = M[i][n] / D**n.
-
-    Dark counts are not included here.  Inclusion-exclusion over the bins
-    that stay silent:  P(exactly i click | n) =
-    sum_j (-1)^(i-j) C(N-j, i-j) sum_{|C|=j} ((1-eta) + eta*W_C)^n.
-    """
-    N = det.n_bins
-    groups, D = _survival_bases(det)
-    # T[j][n] = sum over subsets C of size j of (A_C)^n, via iterative powers.
-    T = [[0] * (n_max + 1) for _ in range(N + 1)]
-    for j, members in enumerate(groups):
-        for A, mult in members:
-            power = 1
-            for n in range(n_max + 1):
-                T[j][n] += mult * power
-                power *= A
-    M = [[0] * (n_max + 1) for _ in range(N + 1)]
-    for i in range(N + 1):
-        for n in range(n_max + 1):
-            s = 0
-            for j in range(i + 1):
-                term = math.comb(N - j, i - j) * T[j][n]
-                s += term if (i - j) % 2 == 0 else -term
-            M[i][n] = s
-    return M, D
+    # State s is the set of lit bins as a bitmask; bit b is the middle axis
+    # of s.reshape(-1, 2, 2**b).  A photon lights bin b with probability
+    # eta w_b, whether or not it was lit already.
+    subsets = np.zeros(2**N)
+    subsets[0] = 1.0
+    popcount = np.zeros(2**N, dtype=np.intp)
+    for b in range(N):
+        popcount.reshape(-1, 2, 2**b)[:, 1] += 1
+    lights = eta * np.asarray(det.bin_weights)
+    for n in range(1, n_max + 1):
+        new = (1.0 - eta) * subsets
+        for b, q in enumerate(lights):
+            old = subsets.reshape(-1, 2, 2**b)
+            new.reshape(-1, 2, 2**b)[:, 1] += q * (old[:, 0] + old[:, 1])
+        subsets = new
+        lit[:, n] = np.bincount(popcount, weights=subsets, minlength=N + 1)
+    return lit
 
 
 @lru_cache(maxsize=64)
 def click_matrix(det: DetectorModel, n_max: int) -> np.ndarray:
-    """Exact conditional click law L[i, n] = P(i clicks | n photons enter).
+    """Conditional click law L[i, n] = P(i clicks | n photons enter).
 
-    The returned (N+1) x (n_max+1) array is read-only and cached; every
-    column sums to 1 to within accumulated rounding of the final float
-    conversion (< 1e-13).
+    The returned (N+1) x (n_max+1) array is read-only and cached; no entry
+    is negative and every column sums to 1 to within accumulated rounding
+    (< 1e-13).
     """
     if n_max < 0:
         raise InvalidArgumentError("n_max must be >= 0")
     N = det.n_bins
-    M, D = _photon_click_numerators(det, n_max)
-    d = Fraction(det.dark_click_prob)
-    e, g = d.numerator, d.denominator
-    L = np.empty((N + 1, n_max + 1))
-    if e == 0:
-        for n in range(n_max + 1):
-            Dn = D**n
-            for i in range(N + 1):
-                L[i, n] = M[i][n] / Dn  # big-int division rounds correctly
-        L.flags.writeable = False
-        return L
-    # Mix in dark clicks: silent bins flip independently with probability d.
-    # Common denominator D^n * g^N;  d^(i-s) (1-d)^(N-i) = e^(i-s)(g-e)^(N-i)/g^(N-s).
-    for n in range(n_max + 1):
-        Dn_gN = D**n * g**N
+    L = _lit_bins(det, n_max)
+    if det.dark_click_prob > 0.0:
+        # flips[j, i] = P(j clicks | i lit): j - i of the N - i silent bins fire.
+        silent = binomial_matrix(det.dark_click_prob, N)
+        flips = np.zeros((N + 1, N + 1))
         for i in range(N + 1):
-            s_total = 0
-            for s in range(i + 1):
-                s_total += (
-                    M[s][n]
-                    * math.comb(N - s, i - s)
-                    * e ** (i - s)
-                    * (g - e) ** (N - i)
-                    * g**s
-                )
-            L[i, n] = s_total / Dn_gN
+            flips[i:, i] = silent[: N + 1 - i, N - i]
+        L = flips @ L
     L.flags.writeable = False
     return L
 

@@ -150,6 +150,20 @@ def thermal_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribut
     return PhotonDistribution(probs / probs.sum())
 
 
+def binomial_matrix(prob: float, m_max: int) -> np.ndarray:
+    """B[k, m] = C(m, k) prob^k (1 - prob)^(m - k) for 0 <= k, m <= m_max.
+
+    Built column by column with Pascal's rule: every term is non-negative,
+    and prob = 0 or 1 is exact.
+    """
+    B = np.zeros((m_max + 1, m_max + 1))
+    B[0, 0] = 1.0
+    for m in range(1, m_max + 1):
+        B[:, m] = (1.0 - prob) * B[:, m - 1]
+        B[1:, m] += prob * B[:-1, m - 1]
+    return B
+
+
 def fock_pn(n: int, n_max: int | None = None) -> PhotonDistribution:
     """Photon-number eigenstate: all mass at n."""
     n = int(n)

@@ -44,3 +44,9 @@ class IllConditionedInversionError(ClickStatsError):
     def __init__(self, message, condition_number=None):
         super().__init__(message)
         self.condition_number = condition_number
+
+
+class SolverNotConvergedError(ClickStatsError):
+    """An iterative solver stopped at its iteration limit without meeting its optimality conditions."""
+
+    code = "solver-not-converged"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DEGENERATE_PROB, DetectorModel, click_matrix
-from .distributions import PhotonDistribution, coherent_pn
+from .distributions import PhotonDistribution, binomial_matrix, coherent_pn
 from .errors import DegenerateConditioningError, InvalidArgumentError
 
 _NORM_ATOL = 1e-9
@@ -105,7 +105,7 @@ def product_input(fock_n: int, alpha: float, cutoff: int | None = None) -> TwoMo
     The coherent amplitudes are sqrt of the (renormalized) truncated Poisson
     weights; ``cutoff`` bounds mode b and defaults to a tail-resolved value.
     """
-    if int(fock_n) != fock_n or fock_n < 0:
+    if not math.isfinite(fock_n) or int(fock_n) != fock_n or fock_n < 0:
         raise InvalidArgumentError("fock_n must be an integer >= 0")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise InvalidArgumentError("alpha must be finite and >= 0 (real amplitude convention)")
@@ -115,26 +115,40 @@ def product_input(fock_n: int, alpha: float, cutoff: int | None = None) -> TwoMo
     return TwoModeState(amps)
 
 
-def _sector_matrix(t: int, ct: float, st: float, columns) -> np.ndarray:
+def _expansions(t_max: int, ct: float, st: float):
+    """Binomial tables for the sector matrices of one splitter, as floats.
+
+    Returns (C, A, B) with C[m, k] = binomial(m, k) by Pascal's rule (exact
+    while C(m, k) < 2^53, i.e. m <= 56), and the expansions
+    (ct a^dag - st b^dag)^m = sum_k A[m, k] a^dag^k b^dag^(m-k) and
+    (st a^dag + ct b^dag)^m = sum_k B[m, k] a^dag^k b^dag^(m-k):
+    A[m, k] = C(m, k) ct^k (-st)^(m-k) and B[m, k] = C(m, k) st^k ct^(m-k).
+    All three are zero for k > m.
+    """
+    C = np.zeros((t_max + 1, t_max + 1))
+    C[:, 0] = 1.0
+    for m in range(1, t_max + 1):
+        C[m, 1:] = C[m - 1, 1:] + C[m - 1, :-1]
+    k = np.arange(t_max + 1)
+    rest = np.clip(k[:, None] - k, 0, None)  # m - k where k <= m
+    ct_k, st_k = ct**k, st**k
+    return C, C * ct_k * ((-st) ** k)[rest], C * st_k * ct_k[rest]
+
+
+def _sector_matrix(t: int, ct: float, st: float, columns, tables=None) -> np.ndarray:
     """Beam splitter restricted to the total-photon sector n_a + n_b = t.
 
     Returns U with U[p, n] = <p, t-p| U |n, t-n> for every n in ``columns``
     and zeros elsewhere.  Column n is the convolution of the binomial
     expansions of (ct a^dag - st b^dag)^n and (st a^dag + ct b^dag)^(t-n),
-    rescaled by exact factorial ratios.
+    rescaled by sqrt(p! (t-p)! / (n! (t-n)!)) = sqrt(C(t, n) / C(t, p)).
+    ``tables`` is ``_expansions(t_max, ct, st)`` for some t_max >= t.
     """
+    C, A, B = _expansions(t, ct, st) if tables is None else tables
     U = np.zeros((t + 1, t + 1))
-    fact = [math.factorial(i) for i in range(t + 1)]
     for n in columns:
         m = t - n
-        b1 = np.array([math.comb(n, j) * ct**j * (-st) ** (n - j) for j in range(n + 1)])
-        b2 = np.array([math.comb(m, k) * st**k * ct ** (m - k) for k in range(m + 1)])
-        conv = np.convolve(b1, b2)
-        denom = fact[n] * fact[m]
-        scale = np.array(
-            [math.sqrt(fact[p] * fact[t - p] / denom) for p in range(t + 1)]
-        )
-        U[:, n] = conv * scale
+        U[:, n] = np.convolve(A[n, : n + 1], B[m, : m + 1]) * np.sqrt(C[t, n] / C[t, : t + 1])
     return U
 
 
@@ -152,6 +166,7 @@ def apply_beamsplitter(state: TwoModeState, bs: BeamSplitter, inverse: bool = Fa
     c_a, c_b = state.cutoffs
     t_max = c_a + c_b
     out = np.zeros((t_max + 1, t_max + 1))
+    tables = _expansions(t_max, ct, st)
     for t in range(t_max + 1):
         v = np.zeros(t + 1)
         n = np.arange(max(0, t - c_b), min(t, c_a) + 1)
@@ -160,7 +175,7 @@ def apply_beamsplitter(state: TwoModeState, bs: BeamSplitter, inverse: bool = Fa
         if columns.size == 0:
             continue
         p = np.arange(t + 1)
-        out[p, t - p] = _sector_matrix(t, ct, st, columns.tolist()) @ v
+        out[p, t - p] = _sector_matrix(t, ct, st, columns.tolist(), tables) @ v
     return TwoModeState(out)
 
 
@@ -169,14 +184,7 @@ def apply_loss(p: PhotonDistribution, efficiency: float) -> PhotonDistribution:
     probability ``efficiency``."""
     if not 0.0 <= efficiency <= 1.0:
         raise InvalidArgumentError("efficiency must lie in [0, 1]")
-    # loss[m, n] = C(n, m) eta^m (1 - eta)^(n - m), column by column with
-    # Pascal's rule: every term is non-negative, and eta = 0 or 1 is exact.
-    loss = np.zeros((p.n_max + 1, p.n_max + 1))
-    loss[0, 0] = 1.0
-    for n in range(1, p.n_max + 1):
-        loss[:, n] = (1.0 - efficiency) * loss[:, n - 1]
-        loss[1:, n] += efficiency * loss[:-1, n - 1]
-    return PhotonDistribution(loss @ p.probs)
+    return PhotonDistribution(binomial_matrix(efficiency, p.n_max) @ p.probs)
 
 
 def catalysis_conditional_pn(
@@ -208,7 +216,7 @@ def catalysis_conditional_pn(
         DegenerateConditioningError: the herald outcome has probability
             below 1e-15, so there is nothing to condition on.
     """
-    if herald_k < 0 or int(herald_k) != herald_k:
+    if not math.isfinite(herald_k) or int(herald_k) != herald_k or herald_k < 0:
         raise InvalidArgumentError("herald_k must be an integer >= 0")
     state = product_input(1, alpha, cutoff=cutoff)
     out = apply_beamsplitter(state, BeamSplitter.from_reflectivity(reflectivity))

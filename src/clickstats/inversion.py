@@ -25,7 +25,7 @@ import numpy as np
 
 from .detector import ClickDistribution, CountRecord, DetectorModel, click_matrix
 from .distributions import PhotonDistribution
-from .errors import IllConditionedInversionError, InvalidArgumentError
+from .errors import IllConditionedInversionError, InvalidArgumentError, SolverNotConvergedError
 from .witnesses import WitnessEstimate, mandel_rows, poisson_bootstrap, q_mandel
 
 _METHODS = ("constrained", "pseudo_inverse")
@@ -53,6 +53,10 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
     each step groups the unfinished rows by their active set, so rows that
     share one solve it in a single KKT system.  Each row follows the
     iteration it would follow alone, for at most ``max_iter`` steps.
+
+    Raises:
+        SolverNotConvergedError: some row still fails the KKT conditions
+            after ``max_iter`` steps.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(b, dtype=float)
@@ -131,7 +135,10 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
         active[rows_i, block] = True
         pending = np.concatenate([rows_f[releasing], rows_i])
     if pending.size:
-        raise RuntimeError("simplex least-squares did not converge")
+        raise SolverNotConvergedError(
+            f"simplex least-squares did not converge in {max_iter} iterations "
+            f"({pending.size} of {rows} right-hand sides unfinished)"
+        )
     return P[0] if single else P
 
 

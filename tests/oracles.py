@@ -2,13 +2,15 @@
 
 Everything here is written from first principles with a different method
 than the library code: the click law by brute-force enumeration of photon
-placements, the beam splitter by matrix exponential of its generator, the
-constrained least squares by exhaustive support enumeration.  Slow and
-simple on purpose.
+placements and by exact rational inclusion-exclusion, the beam splitter by
+matrix exponential of its generator, the constrained least squares by
+exhaustive support enumeration.  Slow and simple on purpose.
 """
 
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -53,6 +55,66 @@ def click_probs_by_enumeration(n_photons, n_bins, bin_weights, efficiency, dark_
                 p * math.comb(silent, extra) * d**extra * (1 - d) ** (silent - extra)
             )
     return probs
+
+
+def click_matrix_exact(n_bins, bin_weights, efficiency, dark_click_prob, n_max):
+    """P(i clicks | n photons) for n = 0..n_max by exact inclusion-exclusion.
+
+    Every float parameter is taken as the exact rational it represents.  For
+    a bin subset C, a photon leaves every bin outside C silent with
+    probability s_C = (1 - eta) + eta * W_C, W_C the weight of C, so
+
+        P(i photon-lit bins | n) =
+            sum_{j <= i} (-1)^(i-j) C(N-j, i-j) sum_{|C|=j} s_C^n,
+
+    then each silent bin fires with the dark probability d.  The sums are
+    exact integers over the common denominator D^n g^N (s_C = A_C / D,
+    d = e / g), divided once, so each entry is the correctly rounded exact
+    value.  The alternating sum is why this cannot be done in floats.
+    """
+    N = n_bins
+    eta = Fraction(efficiency)
+    a, b = eta.numerator, eta.denominator
+    if bin_weights is None or len(set(bin_weights)) == 1:
+        # All j-subsets share s_C = (1 - eta) + eta j/N.
+        D = b * N
+        groups = [{(b - a) * N + a * j: math.comb(N, j)} for j in range(N + 1)]
+    else:
+        weights = [Fraction(w) for w in bin_weights]
+        V = math.lcm(*[w.denominator for w in weights])
+        U = [int(w * V) for w in weights]
+        D = b * V
+        groups = [
+            Counter((b - a) * V + a * sum(combo) for combo in itertools.combinations(U, j))
+            for j in range(N + 1)
+        ]
+    # power_sums[j][n] = sum over j-subsets C of A_C^n
+    power_sums = []
+    for group in groups:
+        sums = [0] * (n_max + 1)
+        for A, mult in group.items():
+            power = 1
+            for n in range(n_max + 1):
+                sums[n] += mult * power
+                power *= A
+        power_sums.append(sums)
+    lit = [
+        [sum((-1) ** (i - j) * math.comb(N - j, i - j) * power_sums[j][n] for j in range(i + 1)) for n in range(n_max + 1)]
+        for i in range(N + 1)
+    ]
+    d = Fraction(dark_click_prob)
+    e, g = d.numerator, d.denominator
+    L = np.empty((N + 1, n_max + 1))
+    for n in range(n_max + 1):
+        denominator = D**n * g**N
+        for i in range(N + 1):
+            # d^(i-s) (1-d)^(N-i) = e^(i-s) (g-e)^(N-i) g^s / g^N
+            numerator = sum(
+                lit[s][n] * math.comb(N - s, i - s) * e ** (i - s) * (g - e) ** (N - i) * g**s
+                for s in range(i + 1)
+            )
+            L[i, n] = numerator / denominator  # big-int division rounds correctly
+    return L
 
 
 def beamsplitter_sector_by_expm(t, transmittance):

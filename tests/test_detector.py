@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickstats import (
     ClickDistribution,
@@ -19,12 +21,14 @@ from clickstats import (
 )
 from clickstats.detector import JointClickDistribution
 
-from oracles import click_probs_by_enumeration
+from oracles import click_matrix_exact, click_probs_by_enumeration
 
 
 def test_detector_model_validation():
     with pytest.raises(InvalidArgumentError):
         DetectorModel(0)
+    with pytest.raises(InvalidArgumentError):
+        DetectorModel(2.5)
     with pytest.raises(InvalidArgumentError):
         DetectorModel(4, efficiency=1.2)
     with pytest.raises(InvalidArgumentError):
@@ -92,8 +96,62 @@ def test_nonuniform_matches_enumeration(weights):
         assert np.allclose(L[:, n], ref, atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize(
+    "n_bins,weights,eta,dark",
+    [
+        (8, None, 1.0, 0.0),
+        (8, None, 0.55, 0.02),
+        (32, None, 0.62, 0.0),
+        (32, None, 0.3, 0.013),
+        (40, None, 0.37, 0.0),
+        (40, None, 0.37, 0.0061),
+        (5, (0.4, 0.25, 0.2, 0.1, 0.05), 0.8, 0.01),
+        (12, (0.2, 0.15, 0.12, 0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03, 0.01), 0.9, 0.0),
+    ],
+)
+def test_float_law_matches_exact_inclusion_exclusion(n_bins, weights, eta, dark):
+    n_max = 2 * n_bins
+    L = click_matrix(DetectorModel(n_bins, weights, eta, dark), n_max)
+    exact = click_matrix_exact(n_bins, weights, eta, dark, n_max)
+    zero = exact == 0.0
+    assert np.all(L[zero] == 0.0)
+    assert np.all(np.abs(L[~zero] - exact[~zero]) <= 1e-13 * exact[~zero])
+
+
+def test_large_uniform_click_law_is_stochastic():
+    L = click_matrix(DetectorModel(128, efficiency=0.3, dark_click_prob=0.01), 256)
+    assert L.shape == (129, 257)
+    assert np.all(L >= 0.0)
+    assert np.abs(L.sum(axis=0) - 1.0).max() < 1e-13
+
+
+@st.composite
+def detectors(draw):
+    eta = draw(st.floats(0.0, 1.0), label="eta")
+    dark = draw(st.floats(0.0, 0.5, exclude_max=True), label="dark")
+    if draw(st.booleans(), label="uniform"):
+        return DetectorModel(draw(st.integers(1, 48), label="n_bins"), None, eta, dark)
+    # Dirichlet(1, ..., 1) weights: normalized exponential variates.
+    u = draw(st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=2, max_size=6), label="u")
+    w = -np.log(u)
+    return DetectorModel(len(u), tuple(w / w.sum()), eta, dark)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(det=detectors(), n_max=st.integers(0, 60))
+def test_click_law_is_stochastic_for_random_detectors(det, n_max):
+    L = click_matrix(det, n_max)
+    assert L.shape == (det.n_bins + 1, n_max + 1)
+    assert np.all(L >= 0.0)
+    assert np.abs(L.sum(axis=0) - 1.0).max() < 1e-13
+    if det.n_bins <= 6:
+        for n in range(min(n_max, 4) + 1):
+            ref = click_probs_by_enumeration(n, det.n_bins, det.bin_weights, det.efficiency, det.dark_click_prob)
+            assert np.allclose(L[:, n], ref, atol=1e-12, rtol=0)
+
+
 def test_nonuniform_bin_limit():
-    # 17 genuinely unequal weights: the subset enumeration refuses.  Equal
+    # 17 genuinely unequal weights: the lit-set recurrence refuses.  Equal
     # explicit weights take the uniform fast path and have no such limit.
     weights = (2.0 / 18,) + tuple([1.0 / 18] * 16)
     with pytest.raises(InvalidArgumentError):
@@ -129,6 +187,8 @@ def test_click_distribution_validation():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_detector_inputs_rejected(bad):
+    with pytest.raises(InvalidArgumentError):
+        DetectorModel(bad)
     for kwargs in ({"bin_weights": (bad, 1.0)}, {"efficiency": bad}, {"dark_click_prob": bad}):
         with pytest.raises(InvalidArgumentError):
             DetectorModel(2, **kwargs)

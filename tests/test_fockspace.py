@@ -188,6 +188,10 @@ def test_non_finite_amplitudes_rejected():
             TwoModeState(np.array([[bad, 0.0], [0.0, 1.0]]))
         with pytest.raises(InvalidArgumentError, match="alpha"):
             product_input(1, bad)
+        with pytest.raises(InvalidArgumentError, match="fock_n"):
+            product_input(bad, 1.0)
+        with pytest.raises(InvalidArgumentError, match="herald_k"):
+            catalysis_conditional_pn(1.0, 0.5, bad)
 
 
 def test_catalysis_zero_reflectivity_passes_coherent_through():
@@ -230,6 +234,10 @@ def test_catalysis_with_click_herald_at_zero_reflectivity():
 def test_catalysis_rejects_bad_herald_k():
     with pytest.raises(InvalidArgumentError):
         catalysis_conditional_pn(1.0, 0.5, -1)
+    with pytest.raises(InvalidArgumentError, match="herald_k"):
+        catalysis_conditional_pn(1.0, 0.5, 2.5)
+    with pytest.raises(InvalidArgumentError, match="fock_n"):
+        product_input(2.5, 1.0)
 
 
 def test_catalysis_interpolates_between_anchors():

@@ -11,6 +11,7 @@ from clickstats import (
     IllConditionedInversionError,
     InvalidArgumentError,
     PhotonDistribution,
+    SolverNotConvergedError,
     UndefinedWitnessError,
     click_matrix,
     forward_clicks,
@@ -87,6 +88,18 @@ def test_lstsq_simplex_exact_interior_solution():
     target = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
     x = lstsq_simplex(A, A @ target)
     np.testing.assert_allclose(x, target, atol=1e-10)
+
+
+def test_lstsq_simplex_iteration_limit_raises_solver_error():
+    # Half "no clicks", half "every bin clicked": the optimum lies on the
+    # simplex boundary, so the first step pins a coordinate and cannot finish.
+    L = click_matrix(DetectorModel.ideal(8), 8)
+    c = np.zeros(9)
+    c[0] = c[8] = 0.5
+    assert np.all(lstsq_simplex(L, c) >= 0.0)
+    with pytest.raises(SolverNotConvergedError) as info:
+        lstsq_simplex(L, c, max_iter=1)
+    assert info.value.code == "solver-not-converged"
 
 
 def test_lstsq_simplex_input_validation():
