@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import binomial_matrix
+from .distributions import binomial_matrix, check_count
 from .errors import DegenerateConditioningError, InvalidArgumentError
 
 _WEIGHT_SUM_ATOL = 1e-12
@@ -222,8 +222,7 @@ def click_matrix(det: DetectorModel, n_max: int) -> np.ndarray:
     is negative and every column sums to 1 to within accumulated rounding
     (< 1e-13).
     """
-    if n_max < 0:
-        raise InvalidArgumentError("n_max must be >= 0")
+    n_max = check_count(n_max, "n_max")
     N = det.n_bins
     L = _lit_bins(det, n_max)
     if det.dark_click_prob > 0.0:

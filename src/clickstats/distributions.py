@@ -78,6 +78,13 @@ def moments(p) -> tuple[float, float]:
     return mean, float((n * n) @ p.probs) - mean * mean
 
 
+def check_count(value, name: str) -> int:
+    """``value`` as an int; InvalidArgumentError unless it is a finite integer >= 0."""
+    if not math.isfinite(value) or int(value) != value or value < 0:
+        raise InvalidArgumentError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def _resolve_cutoff(requested, tails, label):
     """Smallest cutoff >= requested whose tail mass is below TAIL_TOLERANCE.
 
@@ -85,9 +92,7 @@ def _resolve_cutoff(requested, tails, label):
     n = 0..HARD_CUTOFF_LIMIT.  Raises CutoffOverflowError if no cutoff up to
     HARD_CUTOFF_LIMIT suffices.
     """
-    n = 0 if requested is None else int(requested)
-    if n < 0:
-        raise InvalidArgumentError("n_max must be >= 0")
+    n = 0 if requested is None else check_count(requested, "n_max")
     if n > HARD_CUTOFF_LIMIT:
         raise CutoffOverflowError(
             f"requested cutoff {n} exceeds hard limit {HARD_CUTOFF_LIMIT}"
@@ -166,10 +171,8 @@ def binomial_matrix(prob: float, m_max: int) -> np.ndarray:
 
 def fock_pn(n: int, n_max: int | None = None) -> PhotonDistribution:
     """Photon-number eigenstate: all mass at n."""
-    n = int(n)
-    if n < 0:
-        raise InvalidArgumentError("n must be >= 0")
-    n_max = n if n_max is None else int(n_max)
+    n = check_count(n, "n")
+    n_max = n if n_max is None else check_count(n_max, "n_max")
     if n > n_max:
         raise InvalidArgumentError(f"n={n} exceeds n_max={n_max}")
     if n_max > HARD_CUTOFF_LIMIT:

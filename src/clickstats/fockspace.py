@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DEGENERATE_PROB, DetectorModel, click_matrix
-from .distributions import PhotonDistribution, binomial_matrix, coherent_pn
+from .distributions import PhotonDistribution, binomial_matrix, check_count, coherent_pn
 from .errors import DegenerateConditioningError, InvalidArgumentError
 
 _NORM_ATOL = 1e-9
@@ -105,13 +105,12 @@ def product_input(fock_n: int, alpha: float, cutoff: int | None = None) -> TwoMo
     The coherent amplitudes are sqrt of the (renormalized) truncated Poisson
     weights; ``cutoff`` bounds mode b and defaults to a tail-resolved value.
     """
-    if not math.isfinite(fock_n) or int(fock_n) != fock_n or fock_n < 0:
-        raise InvalidArgumentError("fock_n must be an integer >= 0")
+    fock_n = check_count(fock_n, "fock_n")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise InvalidArgumentError("alpha must be finite and >= 0 (real amplitude convention)")
     coh = coherent_pn(alpha * alpha, n_max=cutoff)
-    amps = np.zeros((int(fock_n) + 1, coh.n_max + 1))
-    amps[int(fock_n), :] = np.sqrt(coh.probs)
+    amps = np.zeros((fock_n + 1, coh.n_max + 1))
+    amps[fock_n, :] = np.sqrt(coh.probs)
     return TwoModeState(amps)
 
 
@@ -216,8 +215,7 @@ def catalysis_conditional_pn(
         DegenerateConditioningError: the herald outcome has probability
             below 1e-15, so there is nothing to condition on.
     """
-    if not math.isfinite(herald_k) or int(herald_k) != herald_k or herald_k < 0:
-        raise InvalidArgumentError("herald_k must be an integer >= 0")
+    herald_k = check_count(herald_k, "herald_k")
     state = product_input(1, alpha, cutoff=cutoff)
     out = apply_beamsplitter(state, BeamSplitter.from_reflectivity(reflectivity))
     joint = out.joint_pn()

@@ -4,7 +4,8 @@ Everything here is written from first principles with a different method
 than the library code: the click law by brute-force enumeration of photon
 placements and by exact rational inclusion-exclusion, the beam splitter by
 matrix exponential of its generator, the constrained least squares by
-exhaustive support enumeration.  Slow and simple on purpose.
+exhaustive support enumeration, square linear systems by exact rational
+elimination.  Slow and simple on purpose.
 """
 
 import itertools
@@ -197,3 +198,24 @@ def lstsq_simplex_by_enumeration(A, b):
                 best_val = val
                 best = x
     return best
+
+
+def solve_exact(A, b):
+    """Solve the square system A x = b in exact rational arithmetic.
+
+    Every float entry of A and b is taken as the exact rational it
+    represents; Gauss-Jordan elimination on Fractions then returns the
+    exact solution as a list of Fractions.
+    """
+    A = np.asarray(A, dtype=float).tolist()
+    b = np.asarray(b, dtype=float).tolist()
+    n = len(b)
+    rows = [[Fraction(a) for a in row] + [Fraction(v)] for row, v in zip(A, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [rows[r][n] / rows[r][r] for r in range(n)]

@@ -29,6 +29,9 @@ def test_detector_model_validation():
         DetectorModel(0)
     with pytest.raises(InvalidArgumentError):
         DetectorModel(2.5)
+    for n_max in (2.5, -1):
+        with pytest.raises(InvalidArgumentError, match="n_max must be an integer"):
+            click_matrix(DetectorModel(4), n_max)
     with pytest.raises(InvalidArgumentError):
         DetectorModel(4, efficiency=1.2)
     with pytest.raises(InvalidArgumentError):
@@ -46,7 +49,11 @@ def test_detector_model_hashable_and_cached():
     a = DetectorModel(4, efficiency=0.5)
     b = DetectorModel(4, efficiency=0.5)
     assert a == b and hash(a) == hash(b)
-    assert click_matrix(a, 10) is click_matrix(b, 10)
+    first = click_matrix(a, 10)
+    hits = click_matrix.cache_info().hits
+    assert click_matrix(b, 10) is first
+    assert click_matrix(b, 10.0) is first
+    assert click_matrix.cache_info().hits == hits + 2
     assert not click_matrix(a, 10).flags.writeable
 
 
@@ -189,6 +196,8 @@ def test_click_distribution_validation():
 def test_non_finite_detector_inputs_rejected(bad):
     with pytest.raises(InvalidArgumentError):
         DetectorModel(bad)
+    with pytest.raises(InvalidArgumentError, match="n_max must be an integer"):
+        click_matrix(DetectorModel(2), bad)
     for kwargs in ({"bin_weights": (bad, 1.0)}, {"efficiency": bad}, {"dark_click_prob": bad}):
         with pytest.raises(InvalidArgumentError):
             DetectorModel(2, **kwargs)

@@ -109,6 +109,17 @@ def test_explicit_cutoff_renormalizes():
     assert np.isclose(p.probs.sum(), 1.0, atol=1e-15)
 
 
+def _assert_rejects_photon_number(bad):
+    with pytest.raises(InvalidArgumentError, match="n must be an integer"):
+        fock_pn(bad)
+    with pytest.raises(InvalidArgumentError, match="n_max must be an integer"):
+        fock_pn(1, n_max=bad)
+    with pytest.raises(InvalidArgumentError, match="n_max must be an integer"):
+        coherent_pn(1.0, n_max=bad)
+    with pytest.raises(InvalidArgumentError, match="n_max must be an integer"):
+        thermal_pn(1.0, n_max=bad)
+
+
 def test_fock_one_hot_and_bounds():
     p = fock_pn(2, n_max=5)
     expected = np.zeros(6)
@@ -118,6 +129,8 @@ def test_fock_one_hot_and_bounds():
         fock_pn(7, n_max=5)
     with pytest.raises(InvalidArgumentError):
         fock_pn(-1)
+    assert np.array_equal(fock_pn(2.0, n_max=5.0).probs, p.probs)
+    _assert_rejects_photon_number(2.5)
 
 
 @pytest.mark.parametrize("mu", [-0.5, -1e-9])
@@ -130,6 +143,7 @@ def test_negative_means_rejected(mu):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_inputs_rejected(bad):
+    _assert_rejects_photon_number(bad)
     with pytest.raises(InvalidArgumentError):
         coherent_pn(bad)
     with pytest.raises(InvalidArgumentError):

@@ -22,7 +22,7 @@ from clickstats import (
     q_mandel_from_clicks,
     sample_counts,
 )
-from oracles import lstsq_simplex_by_enumeration
+from oracles import lstsq_simplex_by_enumeration, solve_exact
 
 
 def objective(A, x, b):
@@ -51,6 +51,13 @@ def test_lstsq_simplex_matches_support_enumeration():
     # some again: the release test has to use the KKT multiplier grad + nu.
     L = click_matrix(DetectorModel(8), 8)
     cases += [(L, _heavy_tailed_gapped_clicks(rng, 9)) for _ in range(120)]
+    # Square A whose exact solution is >= 0 but sums to 2, off the simplex:
+    # the direct solve must leave it to the active set.
+    for dim in range(3, 9):
+        A = rng.random((dim, dim))
+        cases.append((A, A @ (2.0 * rng.dirichlet(np.ones(dim)))))
+    # Exactly singular square A: LU fails, and the active set takes the row.
+    cases.append((np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]), np.array([0.2, 0.8, 0.8])))
     for A, b in cases:
         x = lstsq_simplex(A, b)
         assert np.all(x >= 0)
@@ -88,6 +95,47 @@ def test_lstsq_simplex_exact_interior_solution():
     target = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
     x = lstsq_simplex(A, A @ target)
     np.testing.assert_allclose(x, target, atol=1e-10)
+
+
+def _exact_q_mandel(probs):
+    total = sum(probs)
+    mean = sum(n * p for n, p in enumerate(probs)) / total
+    return sum(n * n * p for n, p in enumerate(probs)) / total / mean - mean - 1
+
+
+def test_square_solve_matches_exact_rational_solution():
+    # Sampled records of states on 0..k photons through an ideal 8-bin
+    # detector.  Where the exact L^-1 c is >= 0 it is the simplex optimum,
+    # and the clicks above k are often all empty.  Where it is not, the
+    # direct solve must leave the record to the active set, whose answer
+    # meets the KKT conditions.
+    det = DetectorModel(8, efficiency=1.0)
+    L = click_matrix(det, 8)
+    rng = np.random.default_rng(41)
+    records, empty_tails, infeasible = 0, 0, 0
+    while records < 40:
+        k = int(rng.integers(2, 9))
+        p = np.zeros(9)
+        p[: k + 1] = rng.dirichlet(np.ones(k + 1))
+        counts = rng.poisson(10.0 ** rng.uniform(3, 6) * (L @ p))
+        freq = counts / counts.sum()
+        exact = solve_exact(L, freq)
+        x = lstsq_simplex(L, freq)
+        if min(exact) < 0:
+            infeasible += 1
+            grad = L.T @ (L @ x - freq)
+            free = x > 0
+            nu = -grad[free].mean()
+            np.testing.assert_allclose(grad[free] + nu, 0.0, rtol=0, atol=1e-10)
+            assert np.all(grad[~free] + nu >= -1e-10)
+            continue
+        records += 1
+        empty_tails += freq[-1] == 0
+        np.testing.assert_allclose(x, [float(e) for e in exact], rtol=0, atol=1e-14)
+        assert all(xi == 0 for xi, e in zip(x, exact) if e == 0)
+        q_exact = float(_exact_q_mandel(exact))
+        assert q_mandel_from_clicks(ClickDistribution(freq), det, 8) == pytest.approx(q_exact, rel=1e-12, abs=0)
+    assert empty_tails >= 10 and infeasible >= 5
 
 
 def test_lstsq_simplex_iteration_limit_raises_solver_error():
@@ -245,6 +293,10 @@ def test_replica_loop_records_cover_drops_and_the_active_set():
     assert dropped(_FEW, "constrained") > 0.01
     assert dropped(_NEAR_NEGATIVE, "pseudo_inverse") > 0.1
     L = click_matrix(_DET.with_efficiency(1.0), 8)
-    rows = np.random.default_rng(11).poisson(lam=np.array(_SPARSE_TAIL, dtype=float), size=(200, 9))
-    free = np.linalg.solve(L, (rows / rows.sum(axis=1, keepdims=True)).T)
-    assert np.mean((free < 0).any(axis=0)) > 0.5
+
+    def free_solutions(counts):
+        rows = np.random.default_rng(11).poisson(lam=np.array(counts, dtype=float), size=(200, 9))
+        return np.linalg.solve(L, (rows / rows.sum(axis=1, keepdims=True)).T)
+
+    assert np.all(free_solutions(_DENSE) >= 0)  # every replica is finished by the direct solve
+    assert np.mean((free_solutions(_SPARSE_TAIL) < 0).any(axis=0)) > 0.5
