@@ -44,14 +44,7 @@ from .experiments import (
     run_tmsv,
     tmsv_joint_pn,
 )
-from .fockspace import (
-    BeamSplitter,
-    TwoModeState,
-    apply_beamsplitter,
-    apply_loss,
-    catalysis_conditional_pn,
-    product_input,
-)
+from .fockspace import apply_loss, catalysis_conditional_pn
 from .inversion import (
     InversionResult,
     invert_clicks,
@@ -71,7 +64,6 @@ from .witnesses import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamSplitter",
     "CatalysisPoint",
     "CatalysisSweepConfig",
     "CatalysisSweepResult",
@@ -90,10 +82,8 @@ __all__ = [
     "TmsvConfig",
     "TmsvResult",
     "TmsvRow",
-    "TwoModeState",
     "UndefinedWitnessError",
     "WitnessEstimate",
-    "apply_beamsplitter",
     "apply_loss",
     "catalysis_conditional_pn",
     "click_matrix",
@@ -107,7 +97,6 @@ __all__ = [
     "mc_q_mandel_from_clicks",
     "mc_witness",
     "moments",
-    "product_input",
     "q_binomial",
     "q_fake",
     "q_mandel",

@@ -291,6 +291,8 @@ def sample_counts(c: ClickDistribution, expected_total: float, seed) -> CountRec
     """
     if not (math.isfinite(expected_total) and expected_total > 0):
         raise InvalidArgumentError(f"expected_total must be finite and > 0, got {expected_total!r}")
+    if isinstance(seed, (int, np.integer)):
+        check_count(seed, "seed")
     rng = np.random.default_rng(seed)
     try:
         counts = rng.poisson(expected_total * c.probs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,31 +142,30 @@ def coherent_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribu
 def thermal_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribution:
     """Thermal (geometric) photon statistics: p_n \\propto mu^n / (1+mu)^(n+1)."""
     mu = _check_mean(mean_photons)
-    if mu == 0:
-        n_max = 0 if n_max is None else int(n_max)
-        probs = np.zeros(n_max + 1)
-        probs[0] = 1.0
-        return PhotonDistribution(probs)
     r = mu / (1.0 + mu)
-    # tail beyond n is r^(n+1)
+    # tail beyond n is r^(n+1), all zero for the vacuum
     n_max = _resolve_cutoff(n_max, r ** np.arange(1.0, HARD_CUTOFF_LIMIT + 2), "thermal_pn")
+    if mu == 0:
+        return fock_pn(0, n_max)
     n = np.arange(n_max + 1)
     log_probs = n * math.log(r) + math.log(1.0 - r)
     probs = np.exp(log_probs)
     return PhotonDistribution(probs / probs.sum())
 
 
+@lru_cache(maxsize=64)
 def binomial_matrix(prob: float, m_max: int) -> np.ndarray:
     """B[k, m] = C(m, k) prob^k (1 - prob)^(m - k) for 0 <= k, m <= m_max.
 
     Built column by column with Pascal's rule: every term is non-negative,
-    and prob = 0 or 1 is exact.
+    and prob = 0 or 1 is exact.  The returned array is read-only and cached.
     """
     B = np.zeros((m_max + 1, m_max + 1))
     B[0, 0] = 1.0
     for m in range(1, m_max + 1):
         B[:, m] = (1.0 - prob) * B[:, m - 1]
         B[1:, m] += prob * B[:-1, m - 1]
+    B.flags.writeable = False
     return B
 
 

@@ -35,7 +35,7 @@ from .detector import (
     joint_forward_clicks,
     sample_counts,
 )
-from .distributions import PhotonDistribution, thermal_pn
+from .distributions import PhotonDistribution, check_count, thermal_pn
 from .errors import DegenerateConditioningError, InvalidArgumentError
 from .fockspace import apply_loss, catalysis_conditional_pn
 from .inversion import mc_q_mandel_from_clicks
@@ -74,6 +74,11 @@ class TmsvConfig:
     n_replicas: int = 10_000
     seed: int = 0
     cutoff: int | None = None
+
+    def __post_init__(self):
+        check_count(self.seed, "seed")
+        if not self.herald_ks:
+            raise InvalidArgumentError("herald_ks must not be empty")
 
     def detector(self, arm: int) -> DetectorModel:
         if arm not in (1, 2):
@@ -168,6 +173,11 @@ class CatalysisSweepConfig:
     seed: int = 0
     cutoff: int | None = None
     inversion_n_max: int | None = None
+
+    def __post_init__(self):
+        check_count(self.seed, "seed")
+        if not self.reflectivities:
+            raise InvalidArgumentError("reflectivities must not be empty")
 
     def signal_detector(self) -> DetectorModel:
         return DetectorModel(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import ClickDistribution, CountRecord
-from .distributions import PhotonDistribution, moments
+from .distributions import PhotonDistribution, check_count, moments
 from .errors import InvalidArgumentError, UndefinedWitnessError
 
 #: Relative floor under which a mean click number makes the witnesses 0/0.
@@ -148,8 +148,8 @@ def poisson_bootstrap(
     matrix of the rest to the values of its rows with a defined witness.
 
     Raises:
-        InvalidArgumentError: n_replicas < 2, or counts beyond numpy's
-            Poisson sampler (~9.2e18).
+        InvalidArgumentError: n_replicas < 2, a negative integer seed, or
+            counts beyond numpy's Poisson sampler (~9.2e18).
         UndefinedWitnessError: an empty record, or < 2 defined replicas.
     """
     if n_replicas < 2:
@@ -160,6 +160,8 @@ def poisson_bootstrap(
         raise UndefinedWitnessError("count record is empty")
     value = point(ClickDistribution(counts / total))
 
+    if isinstance(seed, (int, np.integer)):
+        check_count(seed, "seed")
     rng = np.random.default_rng(seed)
     try:
         replicas = rng.poisson(lam=counts, size=(n_replicas, counts.size))

@@ -3,9 +3,10 @@
 Everything here is written from first principles with a different method
 than the library code: the click law by brute-force enumeration of photon
 placements and by exact rational inclusion-exclusion, the beam splitter by
-matrix exponential of its generator, the constrained least squares by
-exhaustive support enumeration, square linear systems by exact rational
-elimination.  Slow and simple on purpose.
+matrix exponential of its generator and by exact binomial expansion sector
+by sector, the constrained least squares by exhaustive support
+enumeration, square linear systems by exact rational elimination.  Slow
+and simple on purpose.
 """
 
 import itertools
@@ -131,6 +132,96 @@ def beamsplitter_sector_by_expm(t, transmittance):
         # a^dag b maps |n, t-n> to sqrt((n+1)(t-n)) |n+1, t-n-1>
         raising[n + 1, n] = math.sqrt((n + 1) * (t - n))
     return expm(theta * (raising - raising.T))
+
+
+def _expansions(t_max, ct, st):
+    """Binomial tables for the sector matrices of one splitter, as floats.
+
+    Returns (C, A, B) with C[m, k] = binomial(m, k) by Pascal's rule (exact
+    while C(m, k) < 2^53, i.e. m <= 56), and the expansions
+    (ct a^dag - st b^dag)^m = sum_k A[m, k] a^dag^k b^dag^(m-k) and
+    (st a^dag + ct b^dag)^m = sum_k B[m, k] a^dag^k b^dag^(m-k):
+    A[m, k] = C(m, k) ct^k (-st)^(m-k) and B[m, k] = C(m, k) st^k ct^(m-k).
+    All three are zero for k > m.
+    """
+    C = np.zeros((t_max + 1, t_max + 1))
+    C[:, 0] = 1.0
+    for m in range(1, t_max + 1):
+        C[m, 1:] = C[m - 1, 1:] + C[m - 1, :-1]
+    k = np.arange(t_max + 1)
+    rest = np.clip(k[:, None] - k, 0, None)  # m - k where k <= m
+    ct_k, st_k = ct**k, st**k
+    return C, C * ct_k * ((-st) ** k)[rest], C * st_k * ct_k[rest]
+
+
+def sector_matrix(t, ct, st, columns, tables=None):
+    """Beam splitter restricted to the total-photon sector n_a + n_b = t.
+
+    Returns U with U[p, n] = <p, t-p| U |n, t-n> for every n in ``columns``
+    and zeros elsewhere.  Column n is the convolution of the binomial
+    expansions of (ct a^dag - st b^dag)^n and (st a^dag + ct b^dag)^(t-n),
+    rescaled by sqrt(p! (t-p)! / (n! (t-n)!)) = sqrt(C(t, n) / C(t, p)).
+    ``tables`` is ``_expansions(t_max, ct, st)`` for some t_max >= t.
+    """
+    C, A, B = _expansions(t, ct, st) if tables is None else tables
+    U = np.zeros((t + 1, t + 1))
+    for n in columns:
+        m = t - n
+        U[:, n] = np.convolve(A[n, : n + 1], B[m, : m + 1]) * np.sqrt(C[t, n] / C[t, : t + 1])
+    return U
+
+
+def beamsplitter_by_sectors(amps, transmittance, inverse=False):
+    """Two-mode amplitudes amps[n_a, n_b] evolved through the splitter.
+
+    Same convention as ``beamsplitter_sector_by_expm``: a^dag -> sqrt(T)
+    a^dag - sqrt(R) b^dag.  Each total-photon sector is evolved by
+    ``sector_matrix``, using only the columns the input populates.  The
+    output grid is square with side c_a + c_b + 1, so no sector is
+    clipped; amplitudes outside the reachable triangle stay 0.
+    """
+    amps = np.asarray(amps, dtype=float)
+    ct = math.sqrt(transmittance)
+    st = math.sqrt(1.0 - transmittance)
+    if inverse:
+        st = -st
+    c_a, c_b = amps.shape[0] - 1, amps.shape[1] - 1
+    t_max = c_a + c_b
+    out = np.zeros((t_max + 1, t_max + 1))
+    tables = _expansions(t_max, ct, st)
+    for t in range(t_max + 1):
+        v = np.zeros(t + 1)
+        n = np.arange(max(0, t - c_b), min(t, c_a) + 1)
+        v[n] = amps[n, t - n]
+        columns = np.flatnonzero(v)
+        if columns.size == 0:
+            continue
+        p = np.arange(t + 1)
+        out[p, t - p] = sector_matrix(t, ct, st, columns.tolist(), tables) @ v
+    return out
+
+
+def beamsplitter_by_expm(amps, transmittance):
+    """Two-mode amplitudes evolved sector by sector with
+    ``beamsplitter_sector_by_expm``, on the same grid as
+    ``beamsplitter_by_sectors``."""
+    amps = np.asarray(amps, dtype=float)
+    c_a, c_b = amps.shape[0] - 1, amps.shape[1] - 1
+    t_max = c_a + c_b
+    out = np.zeros((t_max + 1, t_max + 1))
+    for t in range(t_max + 1):
+        v = np.array([amps[n, t - n] if n <= c_a and t - n <= c_b else 0.0 for n in range(t + 1)])
+        p = np.arange(t + 1)
+        out[p, t - p] = beamsplitter_sector_by_expm(t, transmittance) @ v
+    return out
+
+
+def product_amps(fock_n, coherent_probs):
+    """|fock_n> in mode a times the coherent state with photon-number law
+    ``coherent_probs`` (real amplitudes) in mode b, as a two-mode grid."""
+    amps = np.zeros((fock_n + 1, len(coherent_probs)))
+    amps[fock_n, :] = np.sqrt(coherent_probs)
+    return amps
 
 
 def two_photon_amplitudes(transmittance):

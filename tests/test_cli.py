@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import clickstats
 from clickstats import CountRecord, DetectorModel, click_matrix, coherent_pn, fock_pn, forward_clicks
 from clickstats.cli import main
 from clickstats.io import (
@@ -128,17 +129,26 @@ def test_witness_on_nan_csv_fails_cleanly(tmp_path, capsys, text):
     assert out.err.startswith("error: invalid-argument:") and out.err.count("\n") == 1
 
 
-def test_cli_import_does_not_load_scipy():
+def run_python(code: str) -> str:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_cli_import_does_not_load_scipy():
     code = (
         "import clickstats.cli; import sys; "
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
+    assert run_python(code).strip() == "False"
+
+
+def test_every_export_resolves():
+    assert all(hasattr(clickstats, name) for name in clickstats.__all__)
+    code = "from clickstats import *; import clickstats; print(len(clickstats.__all__))"
+    assert run_python(code).strip() == str(len(clickstats.__all__))
 
 
 def test_witness_q_mandel_through_inversion(tmp_path, capsys):
@@ -318,6 +328,36 @@ def test_tmsv_defaults_without_config(capsys):
     payload = json.loads(out)
     assert payload["config"]["mean_photons"] == 0.15
     assert all(row["record"] is None for row in payload["rows"])
+
+
+@pytest.mark.parametrize("command", ["catalysis", "tmsv", "sample", "witness"])
+def test_negative_seed_fails_cleanly(tmp_path, capsys, command):
+    path = tmp_path / "counts.csv"
+    path.write_text(count_record_to_csv(CountRecord((40, 30, 20))))
+    inputs = {
+        "catalysis": ["--config", str(tmp_path / "c.cfg")],
+        "tmsv": ["--config", str(tmp_path / "t.cfg")],
+        "sample": ["--source", "coherent:1", "--detector", "ideal:4", "--events", "100"],
+        "witness": ["--input", str(path), "--replicas", "10"],
+    }[command]
+    (tmp_path / "c.cfg").write_text(CATALYSIS_CONFIG)
+    (tmp_path / "t.cfg").write_text(TMSV_CONFIG)
+    assert "seed" in run_fail(capsys, [command, *inputs, "--seed", "-1"], "invalid-argument")
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("catalysis", "seed = -1"),
+        ("catalysis", "reflectivities = ,"),
+        ("tmsv", "seed = -1"),
+        ("tmsv", "herald_ks = ,"),
+    ],
+)
+def test_bad_config_values_fail_cleanly(tmp_path, capsys, command, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    run_fail(capsys, [command, "--config", str(config)], "invalid-argument")
 
 
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):

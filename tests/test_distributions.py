@@ -118,6 +118,8 @@ def _assert_rejects_photon_number(bad):
         coherent_pn(1.0, n_max=bad)
     with pytest.raises(InvalidArgumentError, match="n_max must be an integer"):
         thermal_pn(1.0, n_max=bad)
+    with pytest.raises(InvalidArgumentError, match="n_max must be an integer"):
+        thermal_pn(0.0, n_max=bad)
 
 
 def test_fock_one_hot_and_bounds():
@@ -131,6 +133,7 @@ def test_fock_one_hot_and_bounds():
         fock_pn(-1)
     assert np.array_equal(fock_pn(2.0, n_max=5.0).probs, p.probs)
     _assert_rejects_photon_number(2.5)
+    _assert_rejects_photon_number(-3)
 
 
 @pytest.mark.parametrize("mu", [-0.5, -1e-9])

@@ -100,6 +100,16 @@ def test_tmsv_config_rejects_bad_arm():
         fast_tmsv().detector(3)
 
 
+def test_configs_reject_empty_sweeps_and_negative_seeds():
+    with pytest.raises(InvalidArgumentError, match="reflectivities"):
+        CatalysisSweepConfig(reflectivities=())
+    with pytest.raises(InvalidArgumentError, match="herald_ks"):
+        TmsvConfig(herald_ks=())
+    for config in (CatalysisSweepConfig(), TmsvConfig()):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            dataclasses.replace(config, seed=-1)
+
+
 def fast_catalysis(**overrides):
     base = dict(
         alpha=1.0,
