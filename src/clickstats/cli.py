@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import experiments
 from . import io as cio
 from .detector import (
     ClickDistribution,
@@ -28,7 +29,6 @@ from .detector import (
     sample_counts,
 )
 from .errors import ClickStatsError, InvalidArgumentError
-from .experiments import run_catalysis_sweep, run_tmsv
 from .inversion import (
     invert_clicks,
     mc_q_mandel_from_clicks,
@@ -62,7 +62,7 @@ def _cmd_matrix(args) -> int:
         payload = {
             "schema_version": cio.SCHEMA_VERSION,
             "kind": "click_matrix",
-            "detector": cio.detector_to_dict(det),
+            "detector": dataclasses.asdict(det),
             "n_max": args.n_max,
             "matrix": [[float(x) for x in row] for row in L],
         }
@@ -152,51 +152,32 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _load_config(path, from_dict, overrides):
-    raw = cio.parse_config(_read_input(path)) if path is not None else {}
-    config = from_dict(raw)
+def _cmd_experiment(args) -> int:
+    # ``clickstats.io`` and ``clickstats.experiments`` functions are looked
+    # up by name at call time, so wrappers installed on them are seen.
+    stem = args.command
+    raw = cio.parse_config(_read_input(args.config)) if args.config is not None else {}
+    config = getattr(cio, f"{stem}_config_from_dict")(raw)
+    overrides = {"seed": args.seed, "n_replicas": args.replicas, "expected_events": args.events}
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(config, **overrides) if overrides else config
-
-
-def _cmd_catalysis(args) -> int:
-    config = _load_config(
-        args.config,
-        cio.catalysis_config_from_dict,
-        {
-            "seed": args.seed,
-            "n_replicas": args.replicas,
-            "expected_events": args.events,
-        },
-    )
-    result = run_catalysis_sweep(config)
+    if overrides:
+        config = dataclasses.replace(config, **overrides)
+    result = getattr(experiments, _EXPERIMENTS[stem][0])(config)
     text = (
-        cio.catalysis_result_to_csv(result)
+        getattr(cio, f"{stem}_result_to_csv")(result)
         if args.format == "csv"
-        else cio.to_json(cio.catalysis_result_to_dict(result))
+        else cio.to_json(getattr(cio, f"{stem}_result_to_dict")(result))
     )
     _write_output(args, text)
     return 0
 
 
-def _cmd_tmsv(args) -> int:
-    config = _load_config(
-        args.config,
-        cio.tmsv_config_from_dict,
-        {
-            "seed": args.seed,
-            "n_replicas": args.replicas,
-            "expected_events": args.events,
-        },
-    )
-    result = run_tmsv(config)
-    text = (
-        cio.tmsv_result_to_csv(result)
-        if args.format == "csv"
-        else cio.to_json(cio.tmsv_result_to_dict(result))
-    )
-    _write_output(args, text)
-    return 0
+#: Experiment subcommand, which is also the stem of its ``clickstats.io``
+#: names -> (runner in ``clickstats.experiments``, help).
+_EXPERIMENTS = {
+    "catalysis": ("run_catalysis_sweep", "reflectivity sweep of single-photon catalysis"),
+    "tmsv": ("run_tmsv", "two-mode squeezed vacuum witness table"),
+}
 
 
 def _add_output_options(sub, default_format="csv"):
@@ -260,21 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("catalysis", help="reflectivity sweep of single-photon catalysis")
-    p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--events", type=float, default=None)
-    _add_output_options(p, default_format="json")
-    p.set_defaults(func=_cmd_catalysis)
-
-    p = sub.add_parser("tmsv", help="two-mode squeezed vacuum witness table")
-    p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--events", type=float, default=None)
-    _add_output_options(p, default_format="json")
-    p.set_defaults(func=_cmd_tmsv)
+    for command, (_, help_text) in _EXPERIMENTS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", default=None, help="key = value config file")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--replicas", type=int, default=None)
+        p.add_argument("--events", type=float, default=None)
+        _add_output_options(p, default_format="json")
+        p.set_defaults(func=_cmd_experiment)
 
     return parser
 

@@ -30,13 +30,18 @@ binomial weights and loses nine digits in floating point at N=32.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .distributions import binomial_matrix, check_count
+from .distributions import (
+    binomial_matrix,
+    check_count,
+    check_nonnegative,
+    check_probability,
+    is_integer,
+)
 from .errors import DegenerateConditioningError, InvalidArgumentError
 
 _WEIGHT_SUM_ATOL = 1e-12
@@ -67,7 +72,7 @@ class DetectorModel:
     dark_click_prob: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.n_bins) or int(self.n_bins) != self.n_bins or self.n_bins < 1:
+        if not is_integer(self.n_bins) or self.n_bins < 1:
             raise InvalidArgumentError("n_bins must be an integer >= 1")
         object.__setattr__(self, "n_bins", int(self.n_bins))
         if self.bin_weights is not None:
@@ -81,8 +86,7 @@ class DetectorModel:
                     f"bin_weights sum to {sum(w)!r}, expected 1 within {_WEIGHT_SUM_ATOL}"
                 )
             object.__setattr__(self, "bin_weights", w)
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise InvalidArgumentError("efficiency must lie in [0, 1]")
+        check_probability(self.efficiency, "efficiency")
         if not 0.0 <= self.dark_click_prob < 1.0:
             raise InvalidArgumentError("dark_click_prob must lie in [0, 1)")
 
@@ -289,8 +293,7 @@ def sample_counts(c: ClickDistribution, expected_total: float, seed) -> CountRec
     Each counts[i] is Poisson with mean expected_total * c.probs[i];
     a fixed seed gives a reproducible record.
     """
-    if not (math.isfinite(expected_total) and expected_total > 0):
-        raise InvalidArgumentError(f"expected_total must be finite and > 0, got {expected_total!r}")
+    check_nonnegative(expected_total, "expected_total", strict=True)
     if isinstance(seed, (int, np.integer)):
         check_count(seed, "seed")
     rng = np.random.default_rng(seed)

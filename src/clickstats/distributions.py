@@ -79,11 +79,33 @@ def moments(p) -> tuple[float, float]:
     return mean, float((n * n) @ p.probs) - mean * mean
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is finite and integer-valued; an int of any size is."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError):  # infinity or NaN
+        return False
+
+
 def check_count(value, name: str) -> int:
     """``value`` as an int; InvalidArgumentError unless it is a finite integer >= 0."""
-    if not math.isfinite(value) or int(value) != value or value < 0:
+    if not is_integer(value) or value < 0:
         raise InvalidArgumentError(f"{name} must be an integer >= 0, got {value!r}")
     return int(value)
+
+
+def check_nonnegative(value, name: str, strict: bool = False) -> float:
+    """``value`` as a float; InvalidArgumentError unless finite and >= 0 (> 0 if ``strict``)."""
+    x = float(value)
+    if not math.isfinite(x) or x < 0 or (strict and x == 0):
+        raise InvalidArgumentError(f"{name} must be finite and {'>' if strict else '>='} 0, got {x!r}")
+    return x
+
+
+def check_probability(value, name: str) -> None:
+    """InvalidArgumentError unless ``value`` lies in [0, 1], which NaN does not."""
+    if not 0.0 <= value <= 1.0:
+        raise InvalidArgumentError(f"{name} must lie in [0, 1]")
 
 
 def _resolve_cutoff(requested, tails, label):
@@ -107,20 +129,13 @@ def _resolve_cutoff(requested, tails, label):
     return n + int(small[0])
 
 
-def _check_mean(mean_photons) -> float:
-    mu = float(mean_photons)
-    if not math.isfinite(mu) or mu < 0:
-        raise InvalidArgumentError(f"mean_photons must be finite and >= 0, got {mu!r}")
-    return mu
-
-
 def coherent_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribution:
     """Poissonian photon statistics of a coherent state with the given mean.
 
     The cutoff is extended beyond ``n_max`` if needed to keep the truncated
     tail below TAIL_TOLERANCE; the result is renormalized.
     """
-    mu = _check_mean(mean_photons)
+    mu = check_nonnegative(mean_photons, "mean_photons")
     if mu > HARD_CUTOFF_LIMIT:
         # Over a third of the mass lies above any allowed cutoff.
         raise CutoffOverflowError(
@@ -141,7 +156,7 @@ def coherent_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribu
 
 def thermal_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribution:
     """Thermal (geometric) photon statistics: p_n \\propto mu^n / (1+mu)^(n+1)."""
-    mu = _check_mean(mean_photons)
+    mu = check_nonnegative(mean_photons, "mean_photons")
     r = mu / (1.0 + mu)
     # tail beyond n is r^(n+1), all zero for the vacuum
     n_max = _resolve_cutoff(n_max, r ** np.arange(1.0, HARD_CUTOFF_LIMIT + 2), "thermal_pn")

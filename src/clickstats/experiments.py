@@ -35,11 +35,28 @@ from .detector import (
     joint_forward_clicks,
     sample_counts,
 )
-from .distributions import PhotonDistribution, check_count, thermal_pn
+from .distributions import (
+    PhotonDistribution,
+    check_count,
+    check_nonnegative,
+    check_probability,
+    thermal_pn,
+)
 from .errors import DegenerateConditioningError, InvalidArgumentError
 from .fockspace import apply_loss, catalysis_conditional_pn
 from .inversion import mc_q_mandel_from_clicks
 from .witnesses import WitnessEstimate, mc_witness, q_binomial, q_fake, q_mandel
+
+
+def _check_run(config) -> None:
+    """The checks both configs share: seed, bootstrap size, events, cutoff."""
+    check_count(config.seed, "seed")
+    if check_count(config.n_replicas, "n_replicas") < 2:
+        raise InvalidArgumentError("n_replicas must be >= 2")
+    if config.expected_events is not None:
+        check_nonnegative(config.expected_events, "expected_events", strict=True)
+    if config.cutoff is not None:
+        check_count(config.cutoff, "cutoff")
 
 
 def tmsv_joint_pn(mean_photons: float, cutoff: int | None = None) -> np.ndarray:
@@ -76,9 +93,12 @@ class TmsvConfig:
     cutoff: int | None = None
 
     def __post_init__(self):
-        check_count(self.seed, "seed")
+        _check_run(self)
+        check_nonnegative(self.mean_photons, "mean_photons")
         if not self.herald_ks:
             raise InvalidArgumentError("herald_ks must not be empty")
+        for arm in (1, 2):
+            self.detector(arm)  # DetectorModel checks n_bins, efficiency and dark clicks
 
     def detector(self, arm: int) -> DetectorModel:
         if arm not in (1, 2):
@@ -175,9 +195,16 @@ class CatalysisSweepConfig:
     inversion_n_max: int | None = None
 
     def __post_init__(self):
-        check_count(self.seed, "seed")
+        _check_run(self)
+        check_nonnegative(self.alpha, "alpha")
         if not self.reflectivities:
             raise InvalidArgumentError("reflectivities must not be empty")
+        for reflectivity in self.reflectivities:
+            check_probability(reflectivity, "reflectivity")
+        check_count(self.herald_k, "herald_k")
+        self.signal_detector()
+        if self.inversion_n_max is not None:
+            check_count(self.inversion_n_max, "inversion_n_max")
 
     def signal_detector(self) -> DetectorModel:
         return DetectorModel(
@@ -200,13 +227,13 @@ class CatalysisPoint:
     reflectivity: float
     degenerate: bool
     herald_prob: float
-    record: CountRecord | None
-    q_b_exact: float | None
-    q_f_exact: float | None
-    q_m_exact: float | None
-    q_b: WitnessEstimate | None
-    q_f: WitnessEstimate | None
-    q_m: WitnessEstimate | None
+    record: CountRecord | None = None
+    q_b_exact: float | None = None
+    q_f_exact: float | None = None
+    q_m_exact: float | None = None
+    q_b: WitnessEstimate | None = None
+    q_f: WitnessEstimate | None = None
+    q_m: WitnessEstimate | None = None
 
 
 @dataclass(frozen=True)
@@ -222,7 +249,8 @@ def run_catalysis_sweep(config: CatalysisSweepConfig) -> CatalysisSweepResult:
     one Poissonian count record, and bootstrapped estimates of the binomial
     witness, the naive click-Mandel number, and the inversion-route Mandel
     witness.  Points whose herald outcome cannot occur are flagged
-    degenerate and skipped, not fatal.
+    degenerate and skipped, not fatal, unless every point is degenerate:
+    then the sweep raises DegenerateConditioningError.
     """
     det = config.signal_detector()
     n_max = config.inversion_n_max if config.inversion_n_max is not None else config.n_bins
@@ -238,21 +266,9 @@ def run_catalysis_sweep(config: CatalysisSweepConfig) -> CatalysisSweepResult:
                 herald_detector=config.herald_detector,
                 cutoff=config.cutoff,
             )
-        except DegenerateConditioningError:
-            points.append(
-                CatalysisPoint(
-                    reflectivity=reflectivity,
-                    degenerate=True,
-                    herald_prob=0.0,
-                    record=None,
-                    q_b_exact=None,
-                    q_f_exact=None,
-                    q_m_exact=None,
-                    q_b=None,
-                    q_f=None,
-                    q_m=None,
-                )
-            )
+        except DegenerateConditioningError as exc:
+            degenerate = exc
+            points.append(CatalysisPoint(reflectivity=reflectivity, degenerate=True, herald_prob=0.0))
             continue
         clicks = forward_clicks(signal_pn, det)
         detected_pn = apply_loss(signal_pn, config.signal_efficiency)
@@ -274,4 +290,6 @@ def run_catalysis_sweep(config: CatalysisSweepConfig) -> CatalysisSweepResult:
                 ),
             )
         )
+    if all(point.degenerate for point in points):
+        raise DegenerateConditioningError(f"every sweep point is degenerate: {degenerate}")
     return CatalysisSweepResult(config=config, points=tuple(points))

@@ -36,15 +36,21 @@ import math
 import numpy as np
 
 from .detector import DEGENERATE_PROB, DetectorModel, click_matrix
-from .distributions import PhotonDistribution, binomial_matrix, check_count, coherent_pn
+from .distributions import (
+    PhotonDistribution,
+    binomial_matrix,
+    check_count,
+    check_nonnegative,
+    check_probability,
+    coherent_pn,
+)
 from .errors import DegenerateConditioningError, InvalidArgumentError
 
 
 def apply_loss(p: PhotonDistribution, efficiency: float) -> PhotonDistribution:
     """Binomial loss channel: each photon independently survives with
     probability ``efficiency``."""
-    if not 0.0 <= efficiency <= 1.0:
-        raise InvalidArgumentError("efficiency must lie in [0, 1]")
+    check_probability(efficiency, "efficiency")
     return PhotonDistribution(binomial_matrix(efficiency, p.n_max) @ p.probs)
 
 
@@ -78,10 +84,8 @@ def catalysis_conditional_pn(
             below 1e-15, so there is nothing to condition on.
     """
     herald_k = check_count(herald_k, "herald_k")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidArgumentError("alpha must be finite and >= 0 (real amplitude convention)")
-    if not 0.0 <= reflectivity <= 1.0:
-        raise InvalidArgumentError("reflectivity must lie in [0, 1]")
+    check_nonnegative(alpha, "alpha")
+    check_probability(reflectivity, "reflectivity")
     c = np.sqrt(coherent_pn(alpha * alpha, n_max=cutoff).probs)
     m = c.size - 1
     # phi[p, q] from column t = p + q of the binomial law, zero for t > m.

@@ -12,7 +12,10 @@ serialized with sorted keys and no timestamps: the same run with the same
 seed produces byte-identical output.
 
 Config files for the experiment subcommands are flat ``key = value`` lines
-with ``#`` comments; keys mirror the config dataclass fields.
+with ``#`` comments.  The keys are the fields of the config dataclass, and
+each field's annotation sets its value syntax.  Result tables are written
+from the fields of their row dataclass: JSON keeps every field, CSV every
+field but the record, with an estimate ``x`` as the columns ``x, x_err``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -28,10 +31,12 @@ from .detector import ClickDistribution, CountRecord, DetectorModel
 from .distributions import PhotonDistribution, coherent_pn, fock_pn, thermal_pn
 from .errors import InvalidArgumentError
 from .experiments import (
+    CatalysisPoint,
     CatalysisSweepConfig,
     CatalysisSweepResult,
     TmsvConfig,
     TmsvResult,
+    TmsvRow,
 )
 from .witnesses import WitnessEstimate
 
@@ -187,138 +192,82 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_typed(key: str, value: str, kind: str):
+_SCALARS = {"int": int, "float": float}
+
+
+def _parse_field(key: str, value: str, annotation: str):
+    """Parse one config value by its dataclass field's annotation.
+
+    ``X | None`` also accepts ``none``; a tuple is a comma list; a detector
+    is a spec string, where ``pnr`` gives ``None``.
+    """
+    kind, _, optional = annotation.partition(" | ")
+    if kind == "DetectorModel":
+        return parse_detector_spec(value)
+    if optional and value.lower() == "none":
+        return None
     try:
-        if kind == "float":
-            return float(value)
-        if kind == "int":
-            return int(value)
-        if kind == "float_or_none":
-            return None if value.lower() == "none" else float(value)
-        if kind == "int_or_none":
-            return None if value.lower() == "none" else int(value)
-        if kind == "int_tuple":
-            return tuple(int(v.strip()) for v in value.split(",") if v.strip())
-        if kind == "float_tuple":
-            return tuple(float(v.strip()) for v in value.split(",") if v.strip())
-        if kind == "detector":
-            return parse_detector_spec(value)
+        if kind.startswith("tuple["):
+            item = _SCALARS[kind[len("tuple[") :].split(",")[0]]
+            return tuple(item(v.strip()) for v in value.split(",") if v.strip())
+        return _SCALARS[kind](value)
     except ValueError as exc:
         raise InvalidArgumentError(f"bad value for config key {key!r}: {exc}") from None
-    raise AssertionError(f"unhandled kind {kind}")
 
 
-_TMSV_FIELDS = {
-    "mean_photons": "float",
-    "n_bins": "int",
-    "efficiency_1": "float",
-    "efficiency_2": "float",
-    "dark_click_prob": "float",
-    "herald_ks": "int_tuple",
-    "expected_events": "float_or_none",
-    "n_replicas": "int",
-    "seed": "int",
-    "cutoff": "int_or_none",
-}
-
-_CATALYSIS_FIELDS = {
-    "alpha": "float",
-    "reflectivities": "float_tuple",
-    "herald_k": "int",
-    "herald_detector": "detector",
-    "n_bins": "int",
-    "signal_efficiency": "float",
-    "dark_click_prob": "float",
-    "expected_events": "float",
-    "n_replicas": "int",
-    "seed": "int",
-    "cutoff": "int_or_none",
-    "inversion_n_max": "int_or_none",
-}
-
-
-def _config_from_dict(raw: dict[str, str], fields: dict[str, str], cls, label: str):
+def _config_from_dict(raw: dict[str, str], cls, label: str):
+    annotations = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in raw.items():
-        if key not in fields:
+        if key not in annotations:
             raise InvalidArgumentError(f"unknown {label} config key {key!r}")
-        kwargs[key] = _parse_typed(key, value, fields[key])
+        kwargs[key] = _parse_field(key, value, annotations[key])
     return cls(**kwargs)
 
 
 def tmsv_config_from_dict(raw: dict[str, str]) -> TmsvConfig:
-    return _config_from_dict(raw, _TMSV_FIELDS, TmsvConfig, "tmsv")
+    return _config_from_dict(raw, TmsvConfig, "tmsv")
 
 
 def catalysis_config_from_dict(raw: dict[str, str]) -> CatalysisSweepConfig:
-    return _config_from_dict(raw, _CATALYSIS_FIELDS, CatalysisSweepConfig, "catalysis")
+    return _config_from_dict(raw, CatalysisSweepConfig, "catalysis")
 
 
 def estimate_to_dict(e: WitnessEstimate | None):
+    """An estimate for JSON: every field but the replica ``samples``."""
     if e is None:
         return None
-    return {
-        "value": e.value,
-        "std_error": e.std_error,
-        "n_replicas": e.n_replicas,
-        "dropped_fraction": e.dropped_fraction,
-    }
+    return {f.name: getattr(e, f.name) for f in fields(e) if f.name != "samples"}
 
 
-def detector_to_dict(det: DetectorModel | None):
-    if det is None:
-        return None
+def _row_to_dict(row) -> dict:
+    """A result row for JSON: a record becomes its counts, an estimate its dict."""
+    out = {}
+    for f in fields(row):
+        value = getattr(row, f.name)
+        if isinstance(value, CountRecord):
+            value = list(value.counts)
+        elif isinstance(value, WitnessEstimate):
+            value = estimate_to_dict(value)
+        out[f.name] = value
+    return out
+
+
+def _result_to_dict(result, kind: str, rows: str) -> dict:
     return {
-        "n_bins": det.n_bins,
-        "bin_weights": list(det.bin_weights) if det.bin_weights is not None else None,
-        "efficiency": det.efficiency,
-        "dark_click_prob": det.dark_click_prob,
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "config": asdict(result.config),
+        rows: [_row_to_dict(row) for row in getattr(result, rows)],
     }
 
 
 def tmsv_result_to_dict(result: TmsvResult) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "tmsv",
-        "config": asdict(result.config),
-        "rows": [
-            {
-                "arm": row.arm,
-                "herald_k": row.herald_k,
-                "probability": row.probability,
-                "q_b_exact": row.q_b_exact,
-                "record": list(row.record.counts) if row.record is not None else None,
-                "q_b": estimate_to_dict(row.q_b),
-            }
-            for row in result.rows
-        ],
-    }
+    return _result_to_dict(result, "tmsv", "rows")
 
 
 def catalysis_result_to_dict(result: CatalysisSweepResult) -> dict:
-    config = asdict(result.config)
-    config["herald_detector"] = detector_to_dict(result.config.herald_detector)
-    config["reflectivities"] = list(result.config.reflectivities)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "catalysis_sweep",
-        "config": config,
-        "points": [
-            {
-                "reflectivity": pt.reflectivity,
-                "degenerate": pt.degenerate,
-                "herald_prob": pt.herald_prob,
-                "record": list(pt.record.counts) if pt.record is not None else None,
-                "q_b_exact": pt.q_b_exact,
-                "q_f_exact": pt.q_f_exact,
-                "q_m_exact": pt.q_m_exact,
-                "q_b": estimate_to_dict(pt.q_b),
-                "q_f": estimate_to_dict(pt.q_f),
-                "q_m": estimate_to_dict(pt.q_m),
-            }
-            for pt in result.points
-        ],
-    }
+    return _result_to_dict(result, "catalysis_sweep", "points")
 
 
 def to_json(obj: dict) -> str:
@@ -329,60 +278,37 @@ def to_json(obj: dict) -> str:
         raise InvalidArgumentError(f"result is not finite: {exc}") from None
 
 
-def _opt(x, fmt=_frepr) -> str:
-    return "" if x is None else fmt(x)
+def _cells(kind: str, value) -> list[str]:
+    """The CSV cells of one field, by the base type of its annotation."""
+    if kind == "WitnessEstimate":
+        return ["", ""] if value is None else [_frepr(value.value), _frepr(value.std_error)]
+    if value is None:
+        return [""]
+    if kind == "float":
+        return [_frepr(value)]
+    return [str(int(value))]  # an int, or a bool as 0/1
+
+
+def _rows_to_csv(rows, cls) -> str:
+    """Result rows of dataclass ``cls`` as CSV, one column per field in order."""
+    kinds = {f.name: f.type.partition(" | ")[0] for f in fields(cls)}
+    del kinds["record"]
+    header = []
+    for name, kind in kinds.items():
+        header += [name, f"{name}_err"] if kind == "WitnessEstimate" else [name]
+    body = [
+        [cell for name, kind in kinds.items() for cell in _cells(kind, getattr(row, name))]
+        for row in rows
+    ]
+    return _format_rows(header, body)
 
 
 def tmsv_result_to_csv(result: TmsvResult) -> str:
-    header = ("arm", "herald_k", "probability", "q_b_exact", "q_b", "q_b_err")
-    rows = [
-        (
-            row.arm,
-            _opt(row.herald_k, str),
-            _frepr(row.probability),
-            _frepr(row.q_b_exact),
-            _opt(row.q_b.value if row.q_b else None),
-            _opt(row.q_b.std_error if row.q_b else None),
-        )
-        for row in result.rows
-    ]
-    return _format_rows(header, rows)
+    return _rows_to_csv(result.rows, TmsvRow)
 
 
 def catalysis_result_to_csv(result: CatalysisSweepResult) -> str:
-    header = (
-        "reflectivity",
-        "degenerate",
-        "herald_prob",
-        "q_b_exact",
-        "q_f_exact",
-        "q_m_exact",
-        "q_b",
-        "q_b_err",
-        "q_f",
-        "q_f_err",
-        "q_m",
-        "q_m_err",
-    )
-    rows = []
-    for pt in result.points:
-        rows.append(
-            (
-                _frepr(pt.reflectivity),
-                int(pt.degenerate),
-                _frepr(pt.herald_prob),
-                _opt(pt.q_b_exact),
-                _opt(pt.q_f_exact),
-                _opt(pt.q_m_exact),
-                _opt(pt.q_b.value if pt.q_b else None),
-                _opt(pt.q_b.std_error if pt.q_b else None),
-                _opt(pt.q_f.value if pt.q_f else None),
-                _opt(pt.q_f.std_error if pt.q_f else None),
-                _opt(pt.q_m.value if pt.q_m else None),
-                _opt(pt.q_m.std_error if pt.q_m else None),
-            )
-        )
-    return _format_rows(header, rows)
+    return _rows_to_csv(result.points, CatalysisPoint)
 
 
 def matrix_to_csv(L: np.ndarray) -> str:

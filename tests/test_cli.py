@@ -151,6 +151,19 @@ def test_every_export_resolves():
     assert run_python(code).strip() == str(len(clickstats.__all__))
 
 
+def test_every_traced_function_resolves():
+    # The benchmark's tracer wraps these by name; a refactor that drops one
+    # must fail here rather than in a traced benchmark pass.
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, fn in tracing.TARGETS.values():
+        assert callable(getattr(importlib.import_module(module), fn, None)), (module, fn)
+
+
 def test_witness_q_mandel_through_inversion(tmp_path, capsys):
     det_spec = "uniform:8,0.6"
     c = forward_clicks(fock_pn(1), DetectorModel(8, efficiency=0.6))
@@ -358,6 +371,12 @@ def test_bad_config_values_fail_cleanly(tmp_path, capsys, command, line):
     config = tmp_path / "bad.cfg"
     config.write_text(line + "\n")
     run_fail(capsys, [command, "--config", str(config)], "invalid-argument")
+
+
+def test_catalysis_with_every_point_degenerate_fails_cleanly(tmp_path, capsys):
+    config = tmp_path / "h99.cfg"
+    config.write_text("herald_k = 99\n")  # an ideal herald never sees 99 photons
+    run_fail(capsys, ["catalysis", "--config", str(config)], "degenerate-conditioning")
 
 
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from clickstats import (
     CatalysisSweepConfig,
+    DegenerateConditioningError,
     InvalidArgumentError,
     TmsvConfig,
     apply_loss,
@@ -108,6 +109,21 @@ def test_configs_reject_empty_sweeps_and_negative_seeds():
     for config in (CatalysisSweepConfig(), TmsvConfig()):
         with pytest.raises(InvalidArgumentError, match="seed"):
             dataclasses.replace(config, seed=-1)
+    # Every field is checked at construction, not when the run reaches it.
+    bad = [
+        (TmsvConfig, {"efficiency_1": 2.0}, "efficiency"),
+        (TmsvConfig, {"n_bins": 0}, "n_bins"),
+        (TmsvConfig, {"n_replicas": 0}, "n_replicas"),
+        (TmsvConfig, {"mean_photons": -1.0}, "mean_photons"),
+        (CatalysisSweepConfig, {"signal_efficiency": 2.0}, "efficiency"),
+        (CatalysisSweepConfig, {"alpha": float("nan")}, "alpha"),
+        (CatalysisSweepConfig, {"reflectivities": (2.0,)}, "reflectivity"),
+        (CatalysisSweepConfig, {"herald_k": -1}, "herald_k"),
+        (CatalysisSweepConfig, {"expected_events": -1.0}, "expected_events"),
+    ]
+    for cls, kwargs, field_name in bad:
+        with pytest.raises(InvalidArgumentError, match=field_name):
+            cls(**kwargs)
 
 
 def fast_catalysis(**overrides):
@@ -171,6 +187,14 @@ def test_catalysis_sweep_flags_degenerate_points_and_continues():
     assert first.record is None and first.q_b is None and first.q_m_exact is None
     assert not second.degenerate
     assert second.q_b is not None
+
+
+def test_catalysis_sweep_with_every_point_degenerate_raises():
+    # An ideal herald never sees 99 photons: no point has a state to score.
+    with pytest.raises(DegenerateConditioningError, match="every sweep point"):
+        run_catalysis_sweep(fast_catalysis(herald_k=99))
+    with pytest.raises(DegenerateConditioningError):
+        run_catalysis_sweep(fast_catalysis(herald_k=0, reflectivities=(0.0,)))
 
 
 def test_catalysis_sweep_respects_click_herald():

@@ -1,13 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickstats import (
     ClickDistribution,
     CountRecord,
     DetectorModel,
     InvalidArgumentError,
+    PhotonDistribution,
     coherent_pn,
     forward_clicks,
 )
@@ -159,6 +163,55 @@ def test_catalysis_config_from_dict():
     assert config.expected_events == 100.0
     pnr = catalysis_config_from_dict({"herald_detector": "pnr"})
     assert pnr.herald_detector is None
+
+
+CONFIG_KEYS = sorted(
+    {f.name for cls in (TmsvConfig, CatalysisSweepConfig) for f in dataclasses.fields(cls)}
+) + ["volume"]
+
+config_values = st.one_of(
+    st.text(max_size=12),
+    st.integers(-(10**400), 10**400).map(str),
+    st.floats().map(repr),
+    st.sampled_from(
+        ["none", "pnr", "ideal:3", "uniform:4,0.5,0.01", "uniform:0,2", "0, 1, 2", "0.0, 0.5, 1.0", ","]
+    ),
+    st.lists(st.integers(-3, 99) | st.floats(-1, 3), max_size=4).map(
+        lambda xs: ", ".join(map(str, xs))
+    ),
+)
+
+config_lines = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS), config_values).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=st.lists(config_lines, max_size=6))
+def test_fuzzed_config_text_gives_a_config_or_invalid_argument(lines):
+    text = "\n".join(lines)
+    for from_dict, cls in (
+        (tmsv_config_from_dict, TmsvConfig),
+        (catalysis_config_from_dict, CatalysisSweepConfig),
+    ):
+        try:
+            config = from_dict(parse_config(text))
+        except InvalidArgumentError:
+            continue
+        assert isinstance(config, cls)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weights=st.lists(st.floats(0, 1), min_size=2, max_size=12).filter(lambda w: sum(w) > 0))
+def test_distribution_csv_text_round_trips_byte_exactly(weights):
+    probs = np.array(weights) / np.sum(weights)
+    for to_csv, from_csv, cls in (
+        (photon_distribution_to_csv, photon_distribution_from_csv, PhotonDistribution),
+        (click_distribution_to_csv, click_distribution_from_csv, ClickDistribution),
+    ):
+        text = to_csv(cls(probs))
+        assert to_csv(from_csv(text)) == text
 
 
 def tiny_tmsv_result():
