@@ -113,9 +113,9 @@ class ClickDistribution:
         probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if probs.ndim != 1 or probs.size < 2:
             raise InvalidArgumentError("click probs must cover i = 0..N with N >= 1")
-        if not np.all(np.isfinite(probs)):
+        if not np.isfinite(probs).all():
             raise InvalidArgumentError("click probabilities must be finite")
-        if np.any(probs < -1e-12):
+        if (probs < -1e-12).any():
             raise InvalidArgumentError("click probabilities must be >= 0")
         probs = np.clip(probs, 0.0, None)
         if abs(probs.sum() - 1.0) > _CLICK_NORM_ATOL:

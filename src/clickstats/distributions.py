@@ -43,9 +43,9 @@ class PhotonDistribution:
         probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if probs.ndim != 1 or probs.size == 0:
             raise InvalidArgumentError("probs must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(probs)):
+        if not np.isfinite(probs).all():
             raise InvalidArgumentError("probabilities must be finite")
-        if np.any(probs < 0) or np.any(probs > 1 + _NORM_ATOL):
+        if (probs < 0).any() or (probs > 1 + _NORM_ATOL).any():
             raise InvalidArgumentError("probabilities must lie in [0, 1]")
         total = probs.sum()
         if abs(total - 1.0) > _NORM_ATOL:

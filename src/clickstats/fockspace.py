@@ -32,6 +32,7 @@ R = 0.25, n = 3 both give exactly 0.  Such residues lie far below the
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +53,15 @@ def apply_loss(p: PhotonDistribution, efficiency: float) -> PhotonDistribution:
     probability ``efficiency``."""
     check_probability(efficiency, "efficiency")
     return PhotonDistribution(binomial_matrix(efficiency, p.n_max) @ p.probs)
+
+
+@lru_cache(maxsize=64)
+def _coherent_amplitudes(alpha: float, cutoff: int | None) -> np.ndarray:
+    """Square roots of ``coherent_pn(alpha**2, cutoff)``; read-only and cached,
+    as every point of a sweep asks for the same ones."""
+    c = np.sqrt(coherent_pn(alpha * alpha, n_max=cutoff).probs)
+    c.flags.writeable = False
+    return c
 
 
 def catalysis_conditional_pn(
@@ -84,9 +94,11 @@ def catalysis_conditional_pn(
             below 1e-15, so there is nothing to condition on.
     """
     herald_k = check_count(herald_k, "herald_k")
-    check_nonnegative(alpha, "alpha")
+    alpha = check_nonnegative(alpha, "alpha")
     check_probability(reflectivity, "reflectivity")
-    c = np.sqrt(coherent_pn(alpha * alpha, n_max=cutoff).probs)
+    if cutoff is not None:
+        cutoff = check_count(cutoff, "cutoff")
+    c = _coherent_amplitudes(alpha, cutoff)
     m = c.size - 1
     # phi[p, q] from column t = p + q of the binomial law, zero for t > m.
     p = np.arange(m + 1)

@@ -22,6 +22,7 @@ state under test, not something to be divided out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,15 +75,10 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
     single = B.ndim == 1
     B = np.atleast_2d(B)
     rows, dim = B.shape[0], A.shape[1]
-    G = A.T @ A
-    H = B @ A  # row r: A.T @ b_r
     if max_iter is None:
         max_iter = 100 * dim + 100
 
     P = np.full((rows, dim), 1.0 / dim)
-    active = np.zeros((rows, dim), dtype=bool)
-    tabu = np.zeros((rows, dim), dtype=bool)
-    best = np.full(rows, np.inf)
     pending = np.arange(rows)
     if A.shape[0] == dim:
         # A row whose exact solution lies on the simplex has objective 0, the
@@ -92,9 +88,19 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
         except np.linalg.LinAlgError:
             pass  # singular: every row goes to the active set
         else:
-            done = np.all(X >= -grad_tol, axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= dim * grad_tol)
+            done = (X >= -grad_tol).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= dim * grad_tol)
+            if done.all():
+                # C order, as P would be: X is a transposed view, and the
+                # callers' row sums round differently over F-ordered rows.
+                X = np.clip(X, 0.0, None, order="C")
+                return X[0] if single else X
             P[done] = np.clip(X[done], 0.0, None)
             pending = np.flatnonzero(~done)
+    G = A.T @ A
+    H = B @ A  # row r: A.T @ b_r
+    active = np.zeros((rows, dim), dtype=bool)
+    tabu = np.zeros((rows, dim), dtype=bool)
+    best = np.full(rows, np.inf)
     for _ in range(max_iter):
         if not pending.size:
             break
@@ -120,7 +126,7 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
                 sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
             X[np.ix_(members, free)] = sol[:k].T
             nu[members] = sol[k]
-        feasible = np.all(X >= -grad_tol, axis=1)
+        feasible = (X >= -grad_tol).all(axis=1)
 
         # Feasible rows move to their solution, then release the pinned
         # coordinate whose KKT multiplier grad + nu is most negative.
@@ -202,6 +208,12 @@ class InversionResult:
         return PhotonDistribution(probs / probs.sum())
 
 
+@lru_cache(maxsize=64)
+def _condition_number(det: DetectorModel, n_max: int) -> float:
+    """cond(L) of ``click_matrix(det, n_max)``, cached as the click law is."""
+    return float(np.linalg.cond(click_matrix(det, n_max)))
+
+
 def invert_clicks(
     c: ClickDistribution,
     det: DetectorModel,
@@ -227,7 +239,7 @@ def invert_clicks(
             "outcomes is underdetermined; lower n_max or add bins"
         )
     L = click_matrix(det, n_max)
-    cond = float(np.linalg.cond(L))
+    cond = _condition_number(det, n_max)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedInversionError(
             f"click matrix condition number {cond:.3g} exceeds {CONDITION_LIMIT:.0e}",

@@ -73,17 +73,19 @@ def count_record_to_csv(record: CountRecord) -> str:
 
 
 def _parse_rows(text: str, expected_header, convert):
-    reader = csv.reader(_io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise InvalidArgumentError("empty CSV") from None
+        rows = list(csv.reader(_io.StringIO(text)))
+    except csv.Error as exc:  # e.g. a bare "\r" inside a row
+        raise InvalidArgumentError(f"malformed CSV: {exc}") from None
+    if not rows:
+        raise InvalidArgumentError("empty CSV")
+    header, *rows = rows
     if tuple(h.strip() for h in header) != expected_header:
         raise InvalidArgumentError(
             f"expected CSV header {','.join(expected_header)!r}, got {','.join(header)!r}"
         )
     values = []
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         if len(row) != 2:

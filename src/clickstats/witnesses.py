@@ -143,13 +143,20 @@ def poisson_bootstrap(
     """The bootstrap engine behind every ``mc_*`` witness.
 
     ``point`` scores the observed frequencies.  The replicas redraw every
-    counts[i] as Poisson(counts[i]), as one (n_replicas, N+1) draw; those
+    counts[i] as Poisson(counts[i]), as the one draw
+    ``default_rng(seed).poisson(counts, size=(n_replicas, N+1))``; those
     with zero total are dropped, and ``replica_values`` maps the frequency
     matrix of the rest to the values of its rows with a defined witness.
 
+    Only the columns with a non-zero count are drawn, into a zero matrix.
+    The replicas still equal the full draw bit for bit: numpy's Poisson
+    sampler returns 0 for a zero rate without consuming the bit stream, so
+    the non-zero columns see the same random numbers in the same order.
+
     Raises:
-        InvalidArgumentError: n_replicas < 2, a negative integer seed, or
-            counts beyond numpy's Poisson sampler (~9.2e18).
+        InvalidArgumentError: n_replicas < 2, a negative integer seed,
+            counts beyond numpy's Poisson sampler (~9.2e18), or a replica
+            matrix too large to allocate.
         UndefinedWitnessError: an empty record, or < 2 defined replicas.
     """
     if n_replicas < 2:
@@ -163,10 +170,16 @@ def poisson_bootstrap(
     if isinstance(seed, (int, np.integer)):
         check_count(seed, "seed")
     rng = np.random.default_rng(seed)
+    drawn = np.flatnonzero(counts)
     try:
-        replicas = rng.poisson(lam=counts, size=(n_replicas, counts.size))
+        replicas = np.zeros((n_replicas, counts.size), dtype=np.int64)
+        replicas[:, drawn] = rng.poisson(lam=counts[drawn], size=(n_replicas, drawn.size))
+    except MemoryError:
+        raise InvalidArgumentError(
+            f"{n_replicas} replicas of {counts.size} counts do not fit in memory"
+        ) from None
     except ValueError as exc:
-        raise InvalidArgumentError(f"counts too large to resample: {exc}") from None
+        raise InvalidArgumentError(f"counts or n_replicas too large to resample: {exc}") from None
     totals = replicas.sum(axis=1, dtype=float)
     if not totals.all():  # copy the rows only when some replica is empty
         replicas, totals = replicas[totals > 0], totals[totals > 0]

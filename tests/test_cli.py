@@ -117,6 +117,23 @@ def test_witness_on_counts_too_large_to_resample(tmp_path, capsys, extra):
     assert "too large" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--witness", "Q_M", "--detector", "ideal:2"]])
+def test_witness_with_too_many_replicas_to_allocate(tmp_path, capsys, extra):
+    # 10^15 replicas ask for petabytes: the allocation fails at once.
+    path = tmp_path / "counts.csv"
+    path.write_text(count_record_to_csv(CountRecord((50, 5, 0))))
+    argv = ["witness", "--input", str(path), "--replicas", str(10**15), *extra]
+    err = run_fail(capsys, argv, "invalid-argument")
+    assert "do not fit in memory" in err
+
+
+def test_catalysis_with_too_many_replicas_to_allocate(tmp_path, capsys):
+    config = tmp_path / "catalysis.cfg"
+    config.write_text(f"reflectivities = 0.5\nn_replicas = {10**15}\n")
+    err = run_fail(capsys, ["catalysis", "--config", str(config)], "invalid-argument")
+    assert "do not fit in memory" in err
+
+
 @pytest.mark.parametrize(
     "text", ["clicks,probability\n0,nan\n1,nan\n", "clicks,count\n0,nan\n1,nan\n"]
 )

@@ -23,6 +23,7 @@ from clickstats import (
 )
 from clickstats.detector import DEGENERATE_PROB
 from clickstats.distributions import binomial_matrix
+from clickstats.fockspace import _coherent_amplitudes
 from oracles import (
     beamsplitter_by_expm,
     beamsplitter_by_sectors,
@@ -222,6 +223,20 @@ def test_catalysis_rejects_out_of_range_alpha_and_reflectivity():
     for bad in (-0.1, 1.2):
         with pytest.raises(InvalidArgumentError, match="reflectivity"):
             catalysis_conditional_pn(1.0, bad, 1)
+
+
+def test_catalysis_rejects_bad_cutoffs_before_the_amplitude_cache():
+    for bad in (-1, 2.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="cutoff"):
+            catalysis_conditional_pn(1.0, 0.5, 1, cutoff=bad)
+
+
+def test_coherent_amplitudes_are_cached_and_read_only():
+    cached = _coherent_amplitudes(1.5, 30)
+    assert _coherent_amplitudes(1.5, 30) is cached
+    assert _coherent_amplitudes.cache_info().maxsize == 64
+    assert not cached.flags.writeable
+    assert np.array_equal(cached, np.sqrt(coherent_pn(2.25, n_max=30).probs))
 
 
 def test_catalysis_interpolates_between_anchors():

@@ -22,6 +22,7 @@ from clickstats import (
     q_mandel_from_clicks,
     sample_counts,
 )
+from clickstats.inversion import _condition_number
 from oracles import lstsq_simplex_by_enumeration, solve_exact
 
 
@@ -87,6 +88,24 @@ def test_batched_lstsq_simplex_rows_match_single_calls_and_enumeration(data):
         assert objective(A, x, b) == pytest.approx(objective(A, ref, b), abs=1e-12)
         if unique_optimum:
             np.testing.assert_allclose(x, single, rtol=0, atol=1e-9)
+
+
+def test_lstsq_simplex_returns_an_all_feasible_square_batch_from_the_lu_solve():
+    L = click_matrix(DetectorModel(8, efficiency=0.9, dark_click_prob=0.01), 8)
+    rng = np.random.default_rng(29)
+    B = rng.dirichlet(np.ones(9), size=50) @ L.T
+    lu = np.linalg.solve(L, B.T).T
+    assert (lu >= 0).all()
+    X = lstsq_simplex(L, B)
+    assert X.flags.c_contiguous
+    assert np.array_equal(X, np.clip(lu, 0.0, None))
+    # Mixed with rows whose LU solution leaves the simplex, every row still
+    # reaches the simplex optimum.
+    mixed = np.vstack([B[:5], [_heavy_tailed_gapped_clicks(rng, 9) for _ in range(20)]])
+    assert not (np.linalg.solve(L, mixed.T) >= -1e-12).all(axis=0).all()
+    for x, b in zip(lstsq_simplex(L, mixed), mixed):
+        ref = lstsq_simplex_by_enumeration(L, b)
+        assert objective(L, x, b) == pytest.approx(objective(L, ref, b), abs=1e-12)
 
 
 def test_lstsq_simplex_exact_interior_solution():
@@ -187,6 +206,15 @@ def test_pseudo_inverse_reports_negative_mass():
     # The unconstrained solve can only fit better, never worse.
     assert fitted.residual_norm >= raw.residual_norm - 1e-12
     fitted.distribution()  # must not raise
+
+
+def test_condition_number_is_cached():
+    det = DetectorModel(8, dark_click_prob=0.02)
+    cond = _condition_number(det, 6)
+    hits = _condition_number.cache_info().hits
+    assert _condition_number(det, 6) == cond == np.linalg.cond(click_matrix(det, 6))
+    assert _condition_number.cache_info().hits == hits + 1
+    assert _condition_number.cache_info().maxsize == 64
 
 
 def test_invert_clicks_refuses_underdetermined_problems():

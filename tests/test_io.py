@@ -89,6 +89,22 @@ def test_csv_parser_rejects_malformed_input():
         count_record_from_csv("clicks,count\n0,nan\n1,3\n")
 
 
+CSV_READERS = {
+    "n,probability": (photon_distribution_from_csv,),
+    "clicks,probability": (click_distribution_from_csv, sniff_click_csv),
+    "clicks,count": (count_record_from_csv, sniff_click_csv),
+}
+
+
+@pytest.mark.parametrize(
+    "header,read", [(header, read) for header, readers in CSV_READERS.items() for read in readers]
+)
+def test_csv_with_a_bare_carriage_return_in_a_row_is_invalid_argument(header, read):
+    # The csv module raises csv.Error for a "\r" inside an unquoted row.
+    with pytest.raises(InvalidArgumentError, match="malformed CSV"):
+        read(f"{header}\n0,1\r1,0\n")
+
+
 def test_parse_source_spec():
     p = parse_source_spec("coherent:1.0", n_max=30)
     np.testing.assert_allclose(p.probs, coherent_pn(1.0, n_max=30).probs, atol=0)
@@ -212,6 +228,46 @@ def test_distribution_csv_text_round_trips_byte_exactly(weights):
     ):
         text = to_csv(cls(probs))
         assert to_csv(from_csv(text)) == text
+
+
+csv_headers = st.sampled_from([*CSV_READERS, "clicks,", " n , probability"]) | st.text(max_size=20)
+csv_values = st.lists(st.sampled_from(["0", "1", "0.5", "3"]), max_size=6)
+csv_splices = st.lists(
+    st.tuples(
+        st.integers(0, 100),
+        st.sampled_from([",", "\n", "\r", "\r\n", '"', "\x00", "-", "nan", "1e400", "9" * 5000])
+        | st.floats().map(repr)
+        | st.text(max_size=6),
+    ),
+    max_size=2,
+)
+
+
+def _spliced_csv(header, values, splices):
+    """A CSV text, most often well formed, with a few fragments spliced in."""
+    text = header + "\n" + "".join(f"{i},{value}\n" for i, value in enumerate(values))
+    for at, fragment in splices:
+        at %= len(text) + 1
+        text = text[:at] + fragment + text[at:]
+    return text
+
+
+csv_texts = st.text(max_size=40) | st.builds(_spliced_csv, csv_headers, csv_values, csv_splices)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=csv_texts)
+def test_fuzzed_csv_text_gives_a_value_or_invalid_argument(text):
+    for read in (
+        photon_distribution_from_csv,
+        click_distribution_from_csv,
+        count_record_from_csv,
+        sniff_click_csv,
+    ):
+        try:
+            read(text)
+        except InvalidArgumentError:
+            pass
 
 
 def tiny_tmsv_result():

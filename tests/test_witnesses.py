@@ -19,6 +19,7 @@ from clickstats import (
     thermal_pn,
     witness_from_counts,
 )
+from clickstats.witnesses import poisson_bootstrap
 
 
 def test_q_mandel_anchors():
@@ -127,6 +128,34 @@ def test_bootstraps_reject_counts_too_large_to_resample():
             mc_witness(rec, witness, n_replicas=10, seed=0)
     with pytest.raises(InvalidArgumentError, match="too large"):
         mc_q_mandel_from_clicks(rec, DetectorModel.ideal(2), 2, n_replicas=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        (900, 0, 40, 0, 3, 0, 0),  # zeros in the middle and at the tail
+        (0, 0, 7, 0, 0),  # every count but one is zero
+        (12, 5, 0, 0, 0, 0, 0, 0, 0),
+    ],
+)
+def test_poisson_bootstrap_replicas_equal_the_full_documented_draw(counts):
+    # Only non-zero counts are drawn; that matches the full draw only while
+    # numpy consumes no randomness for a zero rate.
+    est = poisson_bootstrap(CountRecord(counts), lambda c: 0.0, np.ravel, n_replicas=400, seed=17)
+    full = np.random.default_rng(17).poisson(np.array(counts, dtype=float), size=(400, len(counts)))
+    totals = full.sum(axis=1, dtype=float)
+    expected = full[totals > 0] / totals[totals > 0, None]
+    assert np.array_equal(est.samples, expected.ravel())
+
+
+def test_bootstraps_reject_replica_matrices_too_large_to_allocate():
+    # 10^15 replicas ask for petabytes: the allocation fails at once.
+    rec = CountRecord((50, 5, 0))
+    for witness in ("Q_B", "Q_F"):
+        with pytest.raises(InvalidArgumentError, match="do not fit in memory"):
+            mc_witness(rec, witness, n_replicas=10**15, seed=0)
+    with pytest.raises(InvalidArgumentError, match="do not fit in memory"):
+        mc_q_mandel_from_clicks(rec, DetectorModel.ideal(2), 2, n_replicas=10**15, seed=0)
 
 
 def test_mc_witness_error_scale_tracks_events():
