@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments
+# Only the modules every subcommand needs load at start-up; each command
+# body imports the rest, so e.g. ``witness Q_B`` never loads the inversion.
 from . import io as cio
 from .detector import (
     ClickDistribution,
@@ -29,23 +30,23 @@ from .detector import (
     sample_counts,
 )
 from .errors import ClickStatsError, InvalidArgumentError
-from .inversion import (
-    invert_clicks,
-    mc_q_mandel_from_clicks,
-    q_mandel_from_clicks,
-)
-from .witnesses import mc_witness, q_binomial, q_fake
 
 
 def _write_output(args, text: str) -> None:
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(args.output).write_text(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write the output: {exc}") from None
 
 
 def _read_input(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgumentError(f"cannot read the input: {exc}") from None
 
 
 def _require_detector(spec: str):
@@ -87,9 +88,13 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .witnesses import mc_witness, q_binomial, q_fake
+
     data = cio.sniff_click_csv(_read_input(args.input))
     payload = {"schema_version": cio.SCHEMA_VERSION, "kind": "witness", "witness": args.witness}
     if args.witness == "Q_M":
+        from .inversion import mc_q_mandel_from_clicks, q_mandel_from_clicks
+
         if args.detector is None:
             raise InvalidArgumentError("witness Q_M needs --detector for the inversion")
         det = _require_detector(args.detector)
@@ -111,6 +116,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from .inversion import invert_clicks
+
     data = cio.sniff_click_csv(_read_input(args.input))
     if isinstance(data, CountRecord):
         counts = np.asarray(data.counts, dtype=float)
@@ -155,6 +162,8 @@ def _cmd_sample(args) -> int:
 def _cmd_experiment(args) -> int:
     # ``clickstats.io`` and ``clickstats.experiments`` functions are looked
     # up by name at call time, so wrappers installed on them are seen.
+    from . import experiments
+
     stem = args.command
     raw = cio.parse_config(_read_input(args.config)) if args.config is not None else {}
     config = getattr(cio, f"{stem}_config_from_dict")(raw)

@@ -228,14 +228,19 @@ def click_matrix(det: DetectorModel, n_max: int) -> np.ndarray:
     """
     n_max = check_count(n_max, "n_max")
     N = det.n_bins
-    L = _lit_bins(det, n_max)
-    if det.dark_click_prob > 0.0:
-        # flips[j, i] = P(j clicks | i lit): j - i of the N - i silent bins fire.
-        silent = binomial_matrix(det.dark_click_prob, N)
-        flips = np.zeros((N + 1, N + 1))
-        for i in range(N + 1):
-            flips[i:, i] = silent[: N + 1 - i, N - i]
-        L = flips @ L
+    try:
+        L = _lit_bins(det, n_max)
+        if det.dark_click_prob > 0.0:
+            # flips[j, i] = P(j clicks | i lit): j - i of the N - i silent bins fire.
+            silent = binomial_matrix(det.dark_click_prob, N)
+            flips = np.zeros((N + 1, N + 1))
+            for i in range(N + 1):
+                flips[i:, i] = silent[: N + 1 - i, N - i]
+            L = flips @ L
+    except MemoryError:
+        raise InvalidArgumentError(
+            f"{N + 1} x {n_max + 1} click probabilities do not fit in memory"
+        ) from None
     L.flags.writeable = False
     return L
 

@@ -83,7 +83,7 @@ def is_integer(value) -> bool:
     """Whether ``value`` is finite and integer-valued; an int of any size is."""
     try:
         return int(value) == value
-    except (OverflowError, ValueError):  # infinity or NaN
+    except (OverflowError, ValueError, TypeError):  # infinity, NaN or not a number
         return False
 
 

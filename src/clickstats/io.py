@@ -24,21 +24,17 @@ import csv
 import io as _io
 import json
 from dataclasses import asdict, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .detector import ClickDistribution, CountRecord, DetectorModel
 from .distributions import PhotonDistribution, coherent_pn, fock_pn, thermal_pn
 from .errors import InvalidArgumentError
-from .experiments import (
-    CatalysisPoint,
-    CatalysisSweepConfig,
-    CatalysisSweepResult,
-    TmsvConfig,
-    TmsvResult,
-    TmsvRow,
-)
-from .witnesses import WitnessEstimate
+
+if TYPE_CHECKING:  # the experiment and witness modules load only where used
+    from .experiments import CatalysisSweepConfig, CatalysisSweepResult, TmsvConfig, TmsvResult
+    from .witnesses import WitnessEstimate
 
 SCHEMA_VERSION = 1
 
@@ -228,10 +224,14 @@ def _config_from_dict(raw: dict[str, str], cls, label: str):
 
 
 def tmsv_config_from_dict(raw: dict[str, str]) -> TmsvConfig:
+    from .experiments import TmsvConfig
+
     return _config_from_dict(raw, TmsvConfig, "tmsv")
 
 
 def catalysis_config_from_dict(raw: dict[str, str]) -> CatalysisSweepConfig:
+    from .experiments import CatalysisSweepConfig
+
     return _config_from_dict(raw, CatalysisSweepConfig, "catalysis")
 
 
@@ -243,13 +243,14 @@ def estimate_to_dict(e: WitnessEstimate | None):
 
 
 def _row_to_dict(row) -> dict:
-    """A result row for JSON: a record becomes its counts, an estimate its dict."""
+    """A result row for JSON: a record becomes its counts, an estimate its
+    dict; the base type of each field's annotation says which is which."""
     out = {}
     for f in fields(row):
-        value = getattr(row, f.name)
-        if isinstance(value, CountRecord):
+        value, kind = getattr(row, f.name), f.type.partition(" | ")[0]
+        if kind == "CountRecord" and value is not None:
             value = list(value.counts)
-        elif isinstance(value, WitnessEstimate):
+        elif kind == "WitnessEstimate":
             value = estimate_to_dict(value)
         out[f.name] = value
     return out
@@ -306,10 +307,14 @@ def _rows_to_csv(rows, cls) -> str:
 
 
 def tmsv_result_to_csv(result: TmsvResult) -> str:
+    from .experiments import TmsvRow
+
     return _rows_to_csv(result.rows, TmsvRow)
 
 
 def catalysis_result_to_csv(result: CatalysisSweepResult) -> str:
+    from .experiments import CatalysisPoint
+
     return _rows_to_csv(result.points, CatalysisPoint)
 
 

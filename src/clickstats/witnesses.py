@@ -154,11 +154,12 @@ def poisson_bootstrap(
     the non-zero columns see the same random numbers in the same order.
 
     Raises:
-        InvalidArgumentError: n_replicas < 2, a negative integer seed,
-            counts beyond numpy's Poisson sampler (~9.2e18), or a replica
-            matrix too large to allocate.
+        InvalidArgumentError: n_replicas not an integer >= 2, a negative
+            integer seed, counts beyond numpy's Poisson sampler (~9.2e18),
+            or a replica matrix too large to allocate.
         UndefinedWitnessError: an empty record, or < 2 defined replicas.
     """
+    n_replicas = check_count(n_replicas, "n_replicas")
     if n_replicas < 2:
         raise InvalidArgumentError("n_replicas must be >= 2")
     counts = np.asarray(record.counts, dtype=float)

@@ -1,11 +1,16 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clickstats
 from clickstats import CountRecord, DetectorModel, click_matrix, coherent_pn, fock_pn, forward_clicks
@@ -163,9 +168,37 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_every_export_resolves():
-    assert all(hasattr(clickstats, name) for name in clickstats.__all__)
+    assert set(clickstats.__all__) <= set(dir(clickstats))
+    for name in clickstats.__all__:
+        value = getattr(clickstats, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+        # Not cached in the package: a wrapper installed on the submodule's
+        # attribute must be seen through ``clickstats``, and its removal too.
+        assert name not in vars(clickstats), name
     code = "from clickstats import *; import clickstats; print(len(clickstats.__all__))"
     assert run_python(code).strip() == str(len(clickstats.__all__))
+
+
+def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(count_record_to_csv(CountRecord((50, 30, 5))))
+    probe = (
+        "import json, sys; print(json.dumps(sorted("
+        "m for m in sys.modules if m == 'numpy' or m.startswith('clickstats'))))"
+    )
+
+    def loaded(code):
+        return set(json.loads(run_python(f"{code}\n{probe}").splitlines()[-1]))
+
+    assert loaded("import clickstats") == {"clickstats"}
+    unused = {f"clickstats.{m}" for m in ("experiments", "fockspace", "inversion")}
+    assert not loaded("import clickstats.cli") & (unused | {"clickstats.witnesses"})
+    for argv in (
+        ["matrix", "--detector", "uniform:4,0.5", "--n-max", "6"],
+        ["forward", "--source", "coherent:1", "--n-max", "6", "--detector", "ideal:4"],
+        ["witness", "--input", str(counts), "--replicas", "50"],
+    ):
+        assert not loaded(f"from clickstats.cli import main\nmain({argv!r})") & unused, argv
 
 
 def test_every_traced_function_resolves():
@@ -410,3 +443,106 @@ def test_usage_errors_exit_two(capsys):
         main(["witness"])  # missing required --input
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("detector", ["ideal:1000000000000", "uniform:1000000000000,0.5,0.01"])
+def test_matrix_too_large_to_allocate(capsys, detector):
+    # 10^12 bins ask for terabytes: numpy refuses at once and allocates nothing.
+    err = run_fail(capsys, ["matrix", "--detector", detector, "--n-max", "3"], "invalid-argument")
+    assert "do not fit in memory" in err
+
+
+def test_unreadable_input_and_unwritable_output_fail_cleanly(tmp_path, capsys):
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"clicks,count\n0,\xff\n")
+    for path in (tmp_path / "missing.csv", binary, tmp_path):
+        err = run_fail(capsys, ["witness", "--input", str(path)], "invalid-argument")
+        assert "cannot read the input" in err
+    for path in (tmp_path, tmp_path / "no-such-dir" / "out.csv"):
+        argv = ["matrix", "--detector", "ideal:2", "--n-max", "2", "-o", str(path)]
+        assert "cannot write the output" in run_fail(capsys, argv, "invalid-argument")
+
+
+#: Subcommand -> (required flags, each a choice of alternatives; optional flags).
+_FUZZ_FLAGS = {
+    "matrix": ((("--detector",), ("--n-max",)), ("--format", "--output")),
+    "forward": ((("--source", "--input"), ("--detector",)), ("--n-max", "--format", "--output")),
+    "witness": ((("--input",),), ("--witness", "--detector", "--n-max", "--replicas", "--seed", "--output")),
+    "invert": ((("--input",), ("--detector",), ("--n-max",)), ("--method", "--format", "--output")),
+    "sample": ((("--source", "--input"), ("--events",)), ("--detector", "--n-max", "--seed", "--output")),
+    "catalysis": ((("--config",),), ("--seed", "--replicas", "--events", "--format", "--output")),
+    "tmsv": ((("--config",),), ("--seed", "--replicas", "--events", "--format", "--output")),
+}
+
+#: Flag -> the tokens drawn for its value: valid ones, ones out of range and
+#: junk.  Sizes stay small, so no example allocates more than a few MB.
+_FUZZ_TOKENS = {
+    "--detector": ("ideal:3", "uniform:4,0.5", "uniform:2,0.6,0.05", "pnr", "ideal:0", "uniform:3",
+                   "uniform:3,nan", "uniform:3,1.5", "ideal:x", ""),
+    "--source": ("coherent:1", "thermal:0.5", "fock:2", "fock:-1", "coherent:nan", "coherent:inf",
+                 "thermal:-1", "laser:1", "fock"),
+    "--input": ("photons.csv", "clicks.csv", "counts.csv", "zeros.csv", "junk.csv", "missing.csv", "."),
+    "--config": ("catalysis.cfg", "tmsv.cfg", "junk.csv", "missing.cfg"),
+    "--n-max": ("0", "1", "3", "8", "-1", "2.5", "x"),
+    "--replicas": ("2", "20", "1", "0", "-3", "x"),
+    "--events": ("0", "50", "1e3", "-5", "nan", "inf", "x"),
+    "--seed": ("0", "7", "-1", "x"),
+    "--witness": ("Q_B", "Q_F", "Q_M", "Q_X"),
+    "--method": ("constrained", "pseudo_inverse", "svd"),
+    "--format": ("csv", "json", "xml"),
+    "--output": ("out.txt", "-", ".", "no-such-dir/out.txt"),
+    "--bogus": ("1",),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    p = coherent_pn(1.0, n_max=3)
+    (root / "photons.csv").write_text(photon_distribution_to_csv(p))
+    (root / "clicks.csv").write_text(click_distribution_to_csv(forward_clicks(p, DetectorModel.ideal(3))))
+    (root / "counts.csv").write_text(count_record_to_csv(CountRecord((40, 30, 20, 5))))
+    (root / "zeros.csv").write_text(count_record_to_csv(CountRecord((0, 0, 0, 0))))
+    (root / "junk.csv").write_text("clicks,count\n0,1\n2,x\n")
+    (root / "catalysis.cfg").write_text(CATALYSIS_CONFIG)
+    (root / "tmsv.cfg").write_text(TMSV_CONFIG)
+    return root
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """An argv that argparse mostly accepts: every required flag, some optional
+    ones and, now and then, one more flag, which the subcommand may not take."""
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    required, optional = _FUZZ_FLAGS[command]
+    flags = [draw(st.sampled_from(group)) for group in required]
+    flags += [flag for flag in optional if draw(st.booleans())]
+    if draw(st.integers(0, 7)) == 0:
+        flags.append(draw(st.sampled_from(sorted(_FUZZ_TOKENS))))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        # Half the experiments get their own small config; their defaults run for ~0.5 s.
+        tokens = (f"{command}.cfg",) if flag == "--config" and draw(st.booleans()) else _FUZZ_TOKENS[flag]
+        argv += [flag, draw(st.sampled_from(tokens))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=fuzz_argvs())
+def test_fuzzed_argv_never_ends_in_a_traceback(fuzz_dir, argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        assert exc.code == 2, argv
+        return
+    finally:
+        os.chdir(cwd)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and re.match(r"error: [a-z-]+: ", lines[0]), (argv, lines)
+    else:
+        assert code == 0, argv

@@ -11,7 +11,7 @@ from clickstats import (
     moments,
     thermal_pn,
 )
-from clickstats.distributions import HARD_CUTOFF_LIMIT, TAIL_TOLERANCE
+from clickstats.distributions import HARD_CUTOFF_LIMIT, TAIL_TOLERANCE, is_integer
 
 
 def test_photon_distribution_validates_and_freezes():
@@ -134,6 +134,12 @@ def test_fock_one_hot_and_bounds():
     assert np.array_equal(fock_pn(2.0, n_max=5.0).probs, p.probs)
     _assert_rejects_photon_number(2.5)
     _assert_rejects_photon_number(-3)
+
+
+@pytest.mark.parametrize("bad", [[3], "3", 3j])
+def test_non_numeric_photon_numbers_rejected(bad):
+    assert not is_integer(bad)
+    _assert_rejects_photon_number(bad)
 
 
 @pytest.mark.parametrize("mu", [-0.5, -1e-9])

@@ -120,6 +120,21 @@ def test_mc_witness_rejects_hopeless_records():
         mc_witness(CountRecord((5, 5)), "nope", n_replicas=10, seed=0)
 
 
+@pytest.mark.parametrize("n_replicas", [2.5, "100", [100], None])
+def test_bootstraps_reject_non_integer_replica_counts(n_replicas):
+    rec = CountRecord((50, 5, 3))
+    with pytest.raises(InvalidArgumentError, match="n_replicas must be an integer"):
+        mc_witness(rec, "Q_B", n_replicas=n_replicas, seed=0)
+    with pytest.raises(InvalidArgumentError, match="n_replicas must be an integer"):
+        mc_q_mandel_from_clicks(rec, DetectorModel.ideal(2), 2, n_replicas=n_replicas, seed=0)
+
+
+def test_bootstrap_takes_an_integer_valued_float_replica_count():
+    rec = CountRecord((50, 5, 3))
+    a = mc_witness(rec, "Q_B", n_replicas=100.0, seed=0)
+    assert np.array_equal(a.samples, mc_witness(rec, "Q_B", n_replicas=100, seed=0).samples)
+
+
 def test_bootstraps_reject_counts_too_large_to_resample():
     # numpy's Poisson sampler refuses means beyond ~9.2e18.
     rec = CountRecord((10**19, 5, 3))
