@@ -17,13 +17,14 @@ Conventions:
 - Dark clicks flip each silent bin independently with ``dark_click_prob``
   after photon assignment.
 
-The click law is built photon by photon as a Markov chain over the lit
-bins (Sperling, Vogel & Agarwal, PRA 85, 023820 (2012)): over the number
-of lit bins for uniform weights, over the set of lit bins otherwise.  The
-dark clicks are one binomial matrix applied after it.  Every term of both
-recurrences and of the dark-click matrix is non-negative, so nothing
-cancels: entries that are zero come out exactly zero, no entry is
-negative, and columns sum to 1 to within accumulated rounding (< 1e-13).
+The click law (Sperling, Vogel & Agarwal, PRA 85, 023820 (2012)) is built
+by recurrence: for uniform weights one photon at a time, as a Markov chain
+over the number of lit bins; otherwise one bin at a time, over the number
+of bins lit so far, at O(N^2 n_max^2) cost.  The dark clicks are one
+binomial matrix applied after it.  Every term of both recurrences and of
+the dark-click matrix is non-negative, so nothing cancels: entries that are
+zero come out exactly zero, no entry is negative, and columns sum to 1 to
+within accumulated rounding (< 1e-13).
 The textbook inclusion-exclusion sum, by contrast, alternates with large
 binomial weights and loses nine digits in floating point at N=32.
 """
@@ -46,9 +47,6 @@ from .errors import DegenerateConditioningError, InvalidArgumentError
 
 _WEIGHT_SUM_ATOL = 1e-12
 _CLICK_NORM_ATOL = 1e-9
-
-#: The lit-set recurrence for non-uniform weights (2^N states) is limited to this many bins.
-MAX_NONUNIFORM_BINS = 16
 
 #: Conditioning below this probability cannot be normalized meaningfully.
 DEGENERATE_PROB = 1e-15
@@ -103,6 +101,19 @@ class DetectorModel:
         return DetectorModel(self.n_bins, self.bin_weights, efficiency, self.dark_click_prob)
 
 
+def _checked_probs(probs: np.ndarray, what: str) -> np.ndarray:
+    """``probs`` clipped at 0 and read-only, once they are finite, >= -1e-12 and sum to 1."""
+    if not np.isfinite(probs).all():
+        raise InvalidArgumentError(f"{what} probabilities must be finite")
+    if (probs < -1e-12).any():
+        raise InvalidArgumentError(f"{what} probabilities must be >= 0")
+    probs = np.clip(probs, 0.0, None)
+    if abs(probs.sum() - 1.0) > _CLICK_NORM_ATOL:
+        raise InvalidArgumentError(f"{what} probabilities sum to {probs.sum()!r}, expected 1")
+    probs.flags.writeable = False
+    return probs
+
+
 @dataclass(frozen=True, eq=False)
 class ClickDistribution:
     """Probability vector over the number of clicks i = 0..N."""
@@ -113,17 +124,7 @@ class ClickDistribution:
         probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if probs.ndim != 1 or probs.size < 2:
             raise InvalidArgumentError("click probs must cover i = 0..N with N >= 1")
-        if not np.isfinite(probs).all():
-            raise InvalidArgumentError("click probabilities must be finite")
-        if (probs < -1e-12).any():
-            raise InvalidArgumentError("click probabilities must be >= 0")
-        probs = np.clip(probs, 0.0, None)
-        if abs(probs.sum() - 1.0) > _CLICK_NORM_ATOL:
-            raise InvalidArgumentError(
-                f"click probabilities sum to {probs.sum()!r}, expected 1"
-            )
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _checked_probs(probs, "click"))
 
     @property
     def n_bins(self) -> int:
@@ -140,17 +141,7 @@ class JointClickDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise InvalidArgumentError("joint click probs must be a 2-d grid")
-        if not np.all(np.isfinite(probs)):
-            raise InvalidArgumentError("joint click probabilities must be finite")
-        if np.any(probs < -1e-12):
-            raise InvalidArgumentError("joint click probabilities must be >= 0")
-        probs = np.clip(probs, 0.0, None)
-        if abs(probs.sum() - 1.0) > _CLICK_NORM_ATOL:
-            raise InvalidArgumentError(
-                f"joint click probabilities sum to {probs.sum()!r}, expected 1"
-            )
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _checked_probs(probs, "joint click"))
 
 
 @dataclass(frozen=True)
@@ -180,7 +171,11 @@ class CountRecord:
 
 
 def _lit_bins(det: DetectorModel, n_max: int) -> np.ndarray:
-    """P(i bins lit | n photons) before dark clicks, one photon at a time."""
+    """P(i bins lit | n photons) before dark clicks.
+
+    Uniform bins add one photon at a time; other weights add one bin at a
+    time, O(N^2 n_max^2).
+    """
     N, eta = det.n_bins, det.efficiency
     lit = np.zeros((N + 1, n_max + 1))
     lit[0, 0] = 1.0
@@ -194,27 +189,18 @@ def _lit_bins(det: DetectorModel, n_max: int) -> np.ndarray:
             lit[:, n] = stay * lit[:, n - 1]
             lit[1:, n] += move * lit[:-1, n - 1]
         return lit
-    if N > MAX_NONUNIFORM_BINS:
-        raise InvalidArgumentError(
-            f"click matrix with non-uniform weights is limited to "
-            f"{MAX_NONUNIFORM_BINS} bins (got {N})"
-        )
-    # State s is the set of lit bins as a bitmask; bit b is the middle axis
-    # of s.reshape(-1, 2, 2**b).  A photon lights bin b with probability
-    # eta w_b, whether or not it was lit already.
-    subsets = np.zeros(2**N)
-    subsets[0] = 1.0
-    popcount = np.zeros(2**N, dtype=np.intp)
-    for b in range(N):
-        popcount.reshape(-1, 2, 2**b)[:, 1] += 1
-    lights = eta * np.asarray(det.bin_weights)
-    for n in range(1, n_max + 1):
-        new = (1.0 - eta) * subsets
-        for b, q in enumerate(lights):
-            old = subsets.reshape(-1, 2, 2**b)
-            new.reshape(-1, 2, 2**b)[:, 1] += q * (old[:, 0] + old[:, 1])
-        subsets = new
-        lit[:, n] = np.bincount(popcount, weights=subsets, minlength=N + 1)
+    # Bin by bin: lit[i, n] sums the weight of every placement of n photons
+    # over the loss channel and the bins added so far that lights i of them.
+    # A new bin b takes n - k of the n photons with weight
+    # add[k, n] = C(n, k) (eta w_b)^(n-k), k < n, and lights one more bin.
+    lit[0] = (1.0 - eta) ** np.arange(n_max + 1)
+    for q in eta * np.asarray(det.bin_weights):
+        add = np.eye(n_max + 1)  # column 0 starts the Pascal rule; the rest is overwritten
+        for n in range(1, n_max + 1):
+            add[:, n] = q * add[:, n - 1]
+            add[1:, n] += add[:-1, n - 1]
+        np.fill_diagonal(add, 0.0)
+        lit[1:] += lit[:-1] @ add
     return lit
 
 
@@ -281,7 +267,8 @@ def condition_on_clicks(joint: JointClickDistribution, which_arm: int, k: int | 
     if k is None:
         marginal = grid.sum(axis=0)
         return ClickDistribution(marginal / marginal.sum()), 1.0
-    if not 0 <= k < grid.shape[0]:
+    k = check_count(k, "k")
+    if k >= grid.shape[0]:
         raise InvalidArgumentError(f"k={k} outside 0..{grid.shape[0] - 1}")
     slice_ = grid[k]
     prob = float(slice_.sum())

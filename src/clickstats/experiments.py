@@ -99,6 +99,9 @@ class TmsvConfig:
             raise InvalidArgumentError("herald_ks must not be empty")
         for arm in (1, 2):
             self.detector(arm)  # DetectorModel checks n_bins, efficiency and dark clicks
+        for k in self.herald_ks:
+            if check_count(k, "herald_k") > self.n_bins:
+                raise InvalidArgumentError(f"herald_k={k} exceeds n_bins={self.n_bins}")
 
     def detector(self, arm: int) -> DetectorModel:
         if arm not in (1, 2):
@@ -202,6 +205,9 @@ class CatalysisSweepConfig:
         for reflectivity in self.reflectivities:
             check_probability(reflectivity, "reflectivity")
         check_count(self.herald_k, "herald_k")
+        herald = self.herald_detector
+        if herald is not None and self.herald_k > herald.n_bins:
+            raise InvalidArgumentError(f"herald_k={self.herald_k} exceeds the herald's {herald.n_bins} bins")
         self.signal_detector()
         if self.inversion_n_max is not None:
             check_count(self.inversion_n_max, "inversion_n_max")

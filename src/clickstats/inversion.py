@@ -48,8 +48,9 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
 
     A square A is first solved directly (LU, error ~cond(A) eps; the normal
     equations would square cond(A)).  A row whose solution lies on the
-    simplex (entries >= -``grad_tol``, sum within n ``grad_tol`` of 1 for
-    A of shape (m, n)) fits exactly, so it is clipped at 0 and returned.
+    simplex (entries >= -max(``grad_tol``, n cond(A) eps), the cond term
+    only up to ``CONDITION_LIMIT``; sum within n ``grad_tol`` of 1 for A of
+    shape (m, n)) fits exactly, so it is clipped at 0 and returned.
     Only the other rows, and every row of a tall or singular A, enter the
     active set.
 
@@ -88,7 +89,12 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
         except np.linalg.LinAlgError:
             pass  # singular: every row goes to the active set
         else:
-            done = (X >= -grad_tol).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= dim * grad_tol)
+            # LU's error is ~cond(A) eps: entries that close to 0 are zeros of the
+            # exact solution, which the active set's normal equations would lose.
+            floor = grad_tol
+            if (X < -floor).any() and (cond := np.linalg.cond(A)) <= CONDITION_LIMIT:
+                floor = max(floor, dim * cond * np.finfo(float).eps)
+            done = (X >= -floor).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= dim * grad_tol)
             if done.all():
                 # C order, as P would be: X is a transposed view, and the
                 # callers' row sums round differently over F-ordered rows.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clickstats import (
@@ -8,18 +8,22 @@ from clickstats import (
     CountRecord,
     DegenerateConditioningError,
     DetectorModel,
+    IllConditionedInversionError,
     InvalidArgumentError,
+    PhotonDistribution,
     apply_loss,
     click_matrix,
     coherent_pn,
     condition_on_clicks,
     fock_pn,
     forward_clicks,
+    invert_clicks,
     joint_forward_clicks,
     sample_counts,
     thermal_pn,
 )
 from clickstats.detector import JointClickDistribution
+from clickstats.inversion import CONDITION_LIMIT
 
 from oracles import click_matrix_exact, click_probs_by_enumeration
 
@@ -133,13 +137,14 @@ def test_large_uniform_click_law_is_stochastic():
 
 
 @st.composite
-def detectors(draw):
+def detectors(draw, max_bins=48):
     eta = draw(st.floats(0.0, 1.0), label="eta")
     dark = draw(st.floats(0.0, 0.5, exclude_max=True), label="dark")
     if draw(st.booleans(), label="uniform"):
-        return DetectorModel(draw(st.integers(1, 48), label="n_bins"), None, eta, dark)
+        return DetectorModel(draw(st.integers(1, max_bins), label="n_bins"), None, eta, dark)
     # Dirichlet(1, ..., 1) weights: normalized exponential variates.
-    u = draw(st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=2, max_size=6), label="u")
+    size = min(max_bins, 24)
+    u = draw(st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=2, max_size=size), label="u")
     w = -np.log(u)
     return DetectorModel(len(u), tuple(w / w.sum()), eta, dark)
 
@@ -157,14 +162,41 @@ def test_click_law_is_stochastic_for_random_detectors(det, n_max):
             assert np.allclose(L[:, n], ref, atol=1e-12, rtol=0)
 
 
-def test_nonuniform_bin_limit():
-    # 17 genuinely unequal weights: the lit-set recurrence refuses.  Equal
-    # explicit weights take the uniform fast path and have no such limit.
-    weights = (2.0 / 18,) + tuple([1.0 / 18] * 16)
-    with pytest.raises(InvalidArgumentError):
-        click_matrix(DetectorModel(17, bin_weights=weights), 3)
-    uniform = tuple([1.0 / 17] * 17)
-    click_matrix(DetectorModel(17, bin_weights=uniform), 3)  # must not raise
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(det=detectors(max_bins=12), data=st.data())
+def test_forward_then_invert_returns_the_input(det, data):
+    N = det.n_bins
+    raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=N + 1, max_size=N + 1), label="p")
+    assume(sum(raw) > 0.0)
+    p = PhotonDistribution(np.array(raw) / sum(raw))
+    c = forward_clicks(p, det)
+    cond = np.linalg.cond(click_matrix(det, N))
+    if not cond <= CONDITION_LIMIT:
+        with pytest.raises(IllConditionedInversionError):
+            invert_clicks(c, det, N)
+        return
+    recovered = invert_clicks(c, det, N).probs
+    assert np.abs(recovered - p.probs).max() <= 4 * cond * np.finfo(float).eps
+
+
+def test_nonuniform_click_law_has_no_bin_cap():
+    w = np.random.default_rng(7).dirichlet(np.ones(64))
+    L = click_matrix(DetectorModel(64, tuple(w / w.sum()), 0.63, 0.01), 128)
+    assert np.all(L >= 0.0)
+    assert np.abs(L.sum(axis=0) - 1.0).max() < 1e-13
+    # Two weights 1/64 moved by one ulp send an ideal detector through the
+    # bin-by-bin recurrence; it must agree with the photon-by-photon chain.
+    w = [1.0 / 64] * 64
+    w[0], w[1] = np.nextafter(w[0], 1.0), np.nextafter(w[1], 0.0)
+    nudged = DetectorModel(64, tuple(w))
+    assert not nudged.is_uniform
+    L, chain = click_matrix(nudged, 128), click_matrix(DetectorModel.ideal(64), 128)
+    zero = chain == 0.0
+    assert np.all(L[zero] == 0.0)
+    assert np.all(np.abs(L[~zero] - chain[~zero]) <= 1e-12 * chain[~zero])
+    # Equal explicit weights take the chain itself.
+    explicit = click_matrix(DetectorModel(64, tuple([1.0 / 64] * 64)), 128)
+    assert np.array_equal(explicit, chain)
 
 
 def test_efficiency_folding_equals_pre_thinning():
@@ -248,8 +280,9 @@ def test_condition_on_impossible_outcome():
         condition_on_clicks(joint, which_arm=1, k=1)
     with pytest.raises(InvalidArgumentError):
         condition_on_clicks(joint, which_arm=3, k=0)
-    with pytest.raises(InvalidArgumentError):
-        condition_on_clicks(joint, which_arm=1, k=5)
+    for k in (5, -1, 1.5):
+        with pytest.raises(InvalidArgumentError):
+            condition_on_clicks(joint, which_arm=1, k=k)
 
 
 def test_sample_counts_reproducible_and_calibrated():

@@ -6,6 +6,7 @@ import pytest
 from clickstats import (
     CatalysisSweepConfig,
     DegenerateConditioningError,
+    DetectorModel,
     InvalidArgumentError,
     TmsvConfig,
     apply_loss,
@@ -119,6 +120,10 @@ def test_configs_reject_empty_sweeps_and_negative_seeds():
         (CatalysisSweepConfig, {"alpha": float("nan")}, "alpha"),
         (CatalysisSweepConfig, {"reflectivities": (2.0,)}, "reflectivity"),
         (CatalysisSweepConfig, {"herald_k": -1}, "herald_k"),
+        (CatalysisSweepConfig, {"herald_detector": DetectorModel(2), "herald_k": 3}, "herald_k"),
+        (TmsvConfig, {"herald_ks": (1.5,)}, "herald_k"),
+        (TmsvConfig, {"herald_ks": (0, 9)}, "herald_k"),  # 8 bins
+        (TmsvConfig, {"herald_ks": (-1,)}, "herald_k"),
         (CatalysisSweepConfig, {"expected_events": -1.0}, "expected_events"),
     ]
     for cls, kwargs, field_name in bad:

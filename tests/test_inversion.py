@@ -190,6 +190,16 @@ def test_invert_clicks_round_trip():
     np.testing.assert_allclose(res.distribution().probs, probs, atol=1e-8)
 
 
+def test_invert_clicks_recovers_zeros_to_lu_accuracy():
+    # The LU solution's negatives (~cond(L) eps) are zeros of p, not signs of
+    # infeasibility; the active set's normal equations would be ~200 cond(L) eps off.
+    det = DetectorModel(6, efficiency=0.2, dark_click_prob=0.2)
+    probs = np.zeros(7)
+    probs[[1, 3, 6]] = 1.0 / 3.0
+    res = invert_clicks(forward_clicks(PhotonDistribution(probs), det), det, n_max=6)
+    assert np.abs(res.probs - probs).max() <= res.condition_number * np.finfo(float).eps
+
+
 def test_pseudo_inverse_reports_negative_mass():
     det = DetectorModel.ideal(8)
     # Half "no clicks", half "every bin clicked" is not reachable from any
