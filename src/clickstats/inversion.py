@@ -8,9 +8,9 @@ negative entries.  Two methods are offered side by side:
 - ``pseudo_inverse``: plain Moore-Penrose solve, reported raw so the
   negativity artifacts stay visible.
 - ``constrained``: least squares restricted to the probability simplex
-  (p >= 0, sum p = 1).  A square L is solved directly first; only records
-  whose solution leaves the simplex go through a small active-set
-  iteration.
+  (p >= 0, sum p = 1).  A square L is solved directly first; the other
+  records go through an active-set iteration of reduced least-squares
+  solves.  Both keep the error near cond(L) eps.
 
 ``q_mandel_from_clicks`` inverts with the detector's efficiency stripped
 (dark counts kept), so the recovered statistics, and the witness computed
@@ -39,33 +39,40 @@ CONDITION_LIMIT = 1e12
 #: Negative mass a pseudo-inverse solution may carry and still be read as probabilities.
 _NEGATIVE_MASS_ATOL = 1e-9
 
+#: ``lstsq_simplex``'s tolerance on negative entries, the sum, KKT multipliers and progress.
+_TOL = 1e-12
 
-def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_iter: int | None = None) -> np.ndarray:
+
+def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
     """Minimize ||A p - b||_2 over the probability simplex, for one or many b.
 
     ``b`` is one right-hand side of shape (m,), giving p of shape (n,), or a
     stack of R of them, shape (R, m), giving one solution per row, (R, n).
 
-    A square A is first solved directly (LU, error ~cond(A) eps; the normal
-    equations would square cond(A)).  A row whose solution lies on the
-    simplex (entries >= -max(``grad_tol``, n cond(A) eps), the cond term
-    only up to ``CONDITION_LIMIT``; sum within n ``grad_tol`` of 1 for A of
-    shape (m, n)) fits exactly, so it is clipped at 0 and returned.
-    Only the other rows, and every row of a tall or singular A, enter the
-    active set.
+    A square A is first solved directly (LU, error ~cond(A) eps).  A row
+    whose solution lies on the simplex (entries >= -1e-12, sum within
+    n 1e-12 of 1 for A of shape (m, n)) fits exactly, so it is clipped at 0
+    and returned.  Only the other rows, and every row of a tall or singular
+    A, enter the active set.
 
-    Active-set iteration on the quadratic program: pinned coordinates sit
-    at 0, the free ones solve the equality-constrained normal equations,
-    and coordinates enter or leave the active set one at a time until the
-    KKT conditions hold to within ``grad_tol``.  A pinned coordinate whose
-    release makes no progress (its unpinned solution heads straight back
-    below zero) is barred from release until the objective next improves,
-    which rules out cycling on degenerate data.  All rows iterate together:
-    each step groups the unfinished rows by their active set, so rows that
-    share one solve it in a single KKT system.  Each row follows the
-    iteration it would follow alone, for at most ``max_iter`` steps.
+    Active-set iteration (Lawson & Hanson, *Solving Least Squares
+    Problems*, 1974, ch. 23): pinned coordinates sit at 0.  The free ones
+    solve least squares under sum p = 1, the sum eliminated through the
+    last free coordinate j: p_j = 1 - sum y over the others, with columns
+    A_y, and y = pinv(A_y - a_j 1^T) (b - a_j).  The SVD keeps the error
+    ~cond eps and gives rank-deficient supports the minimum-norm y.  The
+    KKT multipliers are g - (p . g), g = A^T (A p - b); coordinates enter
+    or leave the active set one at a time until every one is >= -1e-12.
+    A pinned coordinate whose release makes no progress (its unpinned
+    solution heads straight back below zero) is barred from release until
+    the objective next improves, which rules out cycling on degenerate
+    data.  All rows iterate together: each step groups the unfinished rows
+    by their active set, and rows that share one share its pseudo-inverse.
+    Each row follows the iteration it would follow alone, for at most
+    ``max_iter`` steps.
 
     Raises:
+        InvalidArgumentError: mismatched shapes, or a NaN or inf in A or b.
         SolverNotConvergedError: some row still fails the KKT conditions
             after ``max_iter`` steps.
     """
@@ -73,6 +80,8 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
     B = np.asarray(b, dtype=float)
     if A.ndim != 2 or B.ndim not in (1, 2) or B.shape[-1] != A.shape[0]:
         raise InvalidArgumentError("A must be 2-d with rows matching b")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise InvalidArgumentError("A and b must be finite")
     single = B.ndim == 1
     B = np.atleast_2d(B)
     rows, dim = B.shape[0], A.shape[1]
@@ -83,18 +92,13 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
     pending = np.arange(rows)
     if A.shape[0] == dim:
         # A row whose exact solution lies on the simplex has objective 0, the
-        # global minimum.  LU keeps its error at cond(A) eps, not cond(A)^2 eps.
+        # global minimum.
         try:
             X = np.linalg.solve(A, B.T).T
         except np.linalg.LinAlgError:
             pass  # singular: every row goes to the active set
         else:
-            # LU's error is ~cond(A) eps: entries that close to 0 are zeros of the
-            # exact solution, which the active set's normal equations would lose.
-            floor = grad_tol
-            if (X < -floor).any() and (cond := np.linalg.cond(A)) <= CONDITION_LIMIT:
-                floor = max(floor, dim * cond * np.finfo(float).eps)
-            done = (X >= -floor).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= dim * grad_tol)
+            done = (X >= -_TOL).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= dim * _TOL)
             if done.all():
                 # C order, as P would be: X is a transposed view, and the
                 # callers' row sums round differently over F-ordered rows.
@@ -102,49 +106,40 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, grad_tol: float = 1e-12, max_ite
                 return X[0] if single else X
             P[done] = np.clip(X[done], 0.0, None)
             pending = np.flatnonzero(~done)
-    G = A.T @ A
-    H = B @ A  # row r: A.T @ b_r
     active = np.zeros((rows, dim), dtype=bool)
     tabu = np.zeros((rows, dim), dtype=bool)
     best = np.full(rows, np.inf)
     for _ in range(max_iter):
         if not pending.size:
             break
-        # Solve the equality-constrained problem on the free coordinates,
+        # Solve the sum-constrained least squares on the free coordinates,
         # once per distinct active set.
         pinned = active[pending]
         X = np.zeros((pending.size, dim))
-        nu = np.empty(pending.size)
         packed = np.packbits(pinned, axis=1)
         keys = packed.view(f"V{packed.shape[1]}").ravel()  # sorts far faster than unique(axis=0)
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
         for g, mask in enumerate(pinned[first]):
             members = np.flatnonzero(group == g)
-            free = np.flatnonzero(~mask)
-            k = free.size
-            kkt = np.ones((k + 1, k + 1))
-            kkt[:k, :k] = G[np.ix_(free, free)]
-            kkt[k, k] = 0.0
-            rhs = np.column_stack([H[np.ix_(pending[members], free)], np.ones(members.size)]).T
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            X[np.ix_(members, free)] = sol[:k].T
-            nu[members] = sol[k]
-        feasible = (X >= -grad_tol).all(axis=1)
+            *rest, last = np.flatnonzero(~mask)
+            y = np.linalg.pinv(A[:, rest] - A[:, [last]]) @ (B[pending[members]] - A[:, last]).T
+            X[np.ix_(members, rest)] = y.T
+            X[members, last] = 1.0 - y.sum(axis=0)
+        feasible = (X >= -_TOL).all(axis=1)
 
         # Feasible rows move to their solution, then release the pinned
-        # coordinate whose KKT multiplier grad + nu is most negative.
+        # coordinate whose KKT multiplier is most negative.
         rows_f = pending[feasible]
         x = np.clip(X[feasible], 0.0, None)
         P[rows_f] = x
-        value = 0.5 * np.sum((x @ A.T - B[rows_f]) ** 2, axis=1)
-        improved = value < best[rows_f] - grad_tol
+        residual = x @ A.T - B[rows_f]
+        value = 0.5 * np.sum(residual**2, axis=1)
+        improved = value < best[rows_f] - _TOL
         best[rows_f[improved]] = value[improved]
         tabu[rows_f[improved]] = False
-        multiplier = x @ G - H[rows_f] + nu[feasible, None]
-        candidates = active[rows_f] & ~tabu[rows_f] & (multiplier < -grad_tol)
+        grad = residual @ A
+        multiplier = grad - np.sum(x * grad, axis=1, keepdims=True)
+        candidates = active[rows_f] & ~tabu[rows_f] & (multiplier < -_TOL)
         releasing = candidates.any(axis=1)
         release = np.argmin(np.where(candidates, multiplier, np.inf), axis=1)[releasing]
         active[rows_f[releasing], release] = False

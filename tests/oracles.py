@@ -5,8 +5,9 @@ than the library code: the click law by brute-force enumeration of photon
 placements and by exact rational inclusion-exclusion, the beam splitter by
 matrix exponential of its generator and by exact binomial expansion sector
 by sector, the constrained least squares by exhaustive support
-enumeration, square linear systems by exact rational elimination.  Slow
-and simple on purpose.
+enumeration, square linear systems and the constrained least squares on
+a given support by exact rational elimination.  Slow and simple on
+purpose.
 """
 
 import itertools
@@ -254,41 +255,51 @@ def two_photon_amplitudes(transmittance):
 def lstsq_simplex_by_enumeration(A, b):
     """Simplex-constrained least squares by trying every support set.
 
-    For each nonempty subset of coordinates, solve the equality-constrained
-    problem on that support; keep the best feasible candidate.  Exponential
-    in the dimension, valid for small test problems.
+    ``b`` is one right-hand side, shape (m,), or a stack of them, (R, m),
+    each row answered on its own.  For each nonempty subset of coordinates,
+    solve the equality-constrained problem on that support for every row at
+    once; each row keeps its best feasible candidate, ties going to the
+    first found.  Exponential in the dimension, valid for small test
+    problems.
     """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    B = np.atleast_2d(np.asarray(b, dtype=float))
     dim = A.shape[1]
     G = A.T @ A
-    h = A.T @ b
-    best = None
-    best_val = np.inf
+    H = B @ A
+    best = np.full((B.shape[0], dim), np.nan)
+    best_val = np.full(B.shape[0], np.inf)
     for r in range(1, dim + 1):
         for support in itertools.combinations(range(dim), r):
             idx = list(support)
-            k = len(idx)
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = G[np.ix_(idx, idx)]
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            rhs = np.append(h[idx], 1.0)
-            try:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                continue
-            x = np.zeros(dim)
-            x[idx] = sol[:k]
-            if np.any(x < -1e-9):
-                continue
+            kkt = np.zeros((r + 1, r + 1))
+            kkt[:r, :r] = G[np.ix_(idx, idx)]
+            kkt[:r, r] = 1.0
+            kkt[r, :r] = 1.0
+            rhs = np.column_stack([H[:, idx], np.ones(B.shape[0])])
+            x = np.zeros_like(best)
+            x[:, idx] = np.linalg.lstsq(kkt, rhs.T, rcond=None)[0][:r].T
+            feasible = np.all(x >= -1e-9, axis=1)
             x = np.clip(x, 0.0, None)
-            x /= x.sum()
-            val = float(np.sum((A @ x - b) ** 2))
-            if val < best_val - 1e-15:
-                best_val = val
-                best = x
-    return best
+            x /= x.sum(axis=1, keepdims=True)
+            val = np.sum((x @ A.T - B) ** 2, axis=1)
+            better = feasible & (val < best_val - 1e-15)
+            best[better] = x[better]
+            best_val[better] = val[better]
+    return best[0] if np.ndim(b) == 1 else best
+
+
+def _eliminate(rows):
+    """Gauss-Jordan elimination on augmented rational rows [M | v]; returns M^-1 v."""
+    n = len(rows)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [rows[r][n] / rows[r][r] for r in range(n)]
 
 
 def solve_exact(A, b):
@@ -300,13 +311,29 @@ def solve_exact(A, b):
     """
     A = np.asarray(A, dtype=float).tolist()
     b = np.asarray(b, dtype=float).tolist()
-    n = len(b)
-    rows = [[Fraction(a) for a in row] + [Fraction(v)] for row, v in zip(A, b)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col] / rows[col][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return [rows[r][n] / rows[r][r] for r in range(n)]
+    return _eliminate([[Fraction(a) for a in row] + [Fraction(v)] for row, v in zip(A, b)])
+
+
+def simplex_lstsq_on_support_exact(A, b, support):
+    """min ||A x - b||_2 subject to sum x = 1 and x = 0 off ``support``, exactly.
+
+    Every float entry of A and b is taken as the exact rational it
+    represents.  The KKT system [[A_S^T A_S, 1], [1^T, 0]] [x_S; nu] =
+    [A_S^T b; 1] of the support's columns A_S is formed and solved on
+    Fractions, where squaring the condition number costs nothing.  Returns
+    x as a list of Fractions, 0 off the support; A_S must have full column
+    rank.
+    """
+    A = np.asarray(A, dtype=float)
+    columns = [[Fraction(a) for a in A[:, j].tolist()] for j in support]
+    b = [Fraction(v) for v in np.asarray(b, dtype=float).tolist()]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    rows = [[dot(u, v) for v in columns] + [Fraction(1), dot(u, b)] for u in columns]
+    rows.append([Fraction(1)] * len(columns) + [Fraction(0), Fraction(1)])
+    x = [Fraction(0)] * A.shape[1]
+    for j, value in zip(support, _eliminate(rows)):
+        x[j] = value
+    return x

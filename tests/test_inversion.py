@@ -23,7 +23,7 @@ from clickstats import (
     sample_counts,
 )
 from clickstats.inversion import _condition_number
-from oracles import lstsq_simplex_by_enumeration, solve_exact
+from oracles import lstsq_simplex_by_enumeration, simplex_lstsq_on_support_exact, solve_exact
 
 
 def objective(A, x, b):
@@ -41,30 +41,30 @@ def _heavy_tailed_gapped_clicks(rng, size):
 
 def test_lstsq_simplex_matches_support_enumeration():
     rng = np.random.default_rng(19)
-    cases = []
+    cases = []  # (A, stack of right-hand sides), each row solved on its own
     for dim in range(3, 9):
         for trial in range(4):
             A = rng.standard_normal((dim + 2, dim))
             if trial == 3:
                 A[:, 1] = A[:, 0]  # duplicate columns, degenerate optimum
-            cases.append((A, rng.standard_normal(dim + 2)))
+            cases.append((A, rng.standard_normal((1, dim + 2))))
     # Truncated records whose optimum pins coordinates and must release
     # some again: the release test has to use the KKT multiplier grad + nu.
     L = click_matrix(DetectorModel(8), 8)
-    cases += [(L, _heavy_tailed_gapped_clicks(rng, 9)) for _ in range(120)]
+    cases.append((L, np.array([_heavy_tailed_gapped_clicks(rng, 9) for _ in range(120)])))
     # Square A whose exact solution is >= 0 but sums to 2, off the simplex:
     # the direct solve must leave it to the active set.
     for dim in range(3, 9):
         A = rng.random((dim, dim))
-        cases.append((A, A @ (2.0 * rng.dirichlet(np.ones(dim)))))
+        cases.append((A, [A @ (2.0 * rng.dirichlet(np.ones(dim)))]))
     # Exactly singular square A: LU fails, and the active set takes the row.
-    cases.append((np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]), np.array([0.2, 0.8, 0.8])))
-    for A, b in cases:
-        x = lstsq_simplex(A, b)
-        assert np.all(x >= 0)
-        assert np.isclose(x.sum(), 1.0, atol=1e-12)
-        ref = lstsq_simplex_by_enumeration(A, b)
-        assert objective(A, x, b) == pytest.approx(objective(A, ref, b), abs=1e-8)
+    cases.append((np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]), [[0.2, 0.8, 0.8]]))
+    for A, B in cases:
+        for b, ref in zip(B, lstsq_simplex_by_enumeration(A, B)):
+            x = lstsq_simplex(A, b)
+            assert np.all(x >= 0)
+            assert np.isclose(x.sum(), 1.0, atol=1e-12)
+            assert objective(A, x, b) == pytest.approx(objective(A, ref, b), abs=1e-8)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -81,9 +81,8 @@ def test_batched_lstsq_simplex_rows_match_single_calls_and_enumeration(data):
     X = lstsq_simplex(A, B)
     assert X.shape == (rows, dim)
     unique_optimum = np.linalg.cond(A) < 1e6  # else only the objective is determined
-    for x, b in zip(X, B):
+    for x, b, ref in zip(X, B, lstsq_simplex_by_enumeration(A, B)):
         single = lstsq_simplex(A, b)
-        ref = lstsq_simplex_by_enumeration(A, b)
         assert objective(A, x, b) == pytest.approx(objective(A, single, b), abs=1e-12)
         assert objective(A, x, b) == pytest.approx(objective(A, ref, b), abs=1e-12)
         if unique_optimum:
@@ -103,8 +102,7 @@ def test_lstsq_simplex_returns_an_all_feasible_square_batch_from_the_lu_solve():
     # reaches the simplex optimum.
     mixed = np.vstack([B[:5], [_heavy_tailed_gapped_clicks(rng, 9) for _ in range(20)]])
     assert not (np.linalg.solve(L, mixed.T) >= -1e-12).all(axis=0).all()
-    for x, b in zip(lstsq_simplex(L, mixed), mixed):
-        ref = lstsq_simplex_by_enumeration(L, b)
+    for x, b, ref in zip(lstsq_simplex(L, mixed), mixed, lstsq_simplex_by_enumeration(L, mixed)):
         assert objective(L, x, b) == pytest.approx(objective(L, ref, b), abs=1e-12)
 
 
@@ -157,6 +155,31 @@ def test_square_solve_matches_exact_rational_solution():
     assert empty_tails >= 10 and infeasible >= 5
 
 
+def test_active_set_rows_match_the_exact_solution_on_their_support():
+    # Noisy records through 8 bins at eta 0.4 (cond(L) 4.1e7) whose direct
+    # solution leaves the simplex, then a tall law (n_max = 6) that sends
+    # every row to the active set.  On the support it chose, each row must
+    # be the exact sum-constrained least-squares solution to within
+    # cond(L) eps, where a solve through L^T L would square cond(L).
+    det = DetectorModel(8, efficiency=0.4)
+    rng = np.random.default_rng(5)
+    for n_max, n_records in ((8, 60), (6, 20)):
+        L = click_matrix(det, n_max)
+        records = []
+        while len(records) < n_records:
+            k = int(rng.integers(1, n_max + 1))
+            p = np.zeros(n_max + 1)
+            p[: k + 1] = rng.dirichlet(np.ones(k + 1))
+            counts = rng.poisson(10.0 ** rng.uniform(4, 7) * (L @ p))
+            freq = counts / counts.sum()
+            if n_max < 8 or (np.linalg.solve(L, freq) < -1e-12).any():
+                records.append(freq)
+        bound = np.linalg.cond(L) * np.finfo(float).eps
+        for x, b in zip(lstsq_simplex(L, np.array(records)), records):
+            exact = simplex_lstsq_on_support_exact(L, b, np.flatnonzero(x > 0))
+            assert np.abs(x - [float(e) for e in exact]).max() <= bound
+
+
 def test_lstsq_simplex_iteration_limit_raises_solver_error():
     # Half "no clicks", half "every bin clicked": the optimum lies on the
     # simplex boundary, so the first step pins a coordinate and cannot finish.
@@ -174,6 +197,14 @@ def test_lstsq_simplex_input_validation():
         lstsq_simplex(np.ones(4), np.ones(4))
     with pytest.raises(InvalidArgumentError):
         lstsq_simplex(np.ones((3, 2)), np.ones(4))
+    A = np.eye(3)
+    b = np.array([0.2, 0.3, 0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        A_bad, b_bad = A.copy(), b.copy()
+        A_bad[1, 2] = b_bad[0] = bad
+        for args in ((A_bad, b), (A, b_bad), (A, np.vstack([b, b_bad]))):
+            with pytest.raises(InvalidArgumentError):
+                lstsq_simplex(*args)
 
 
 def test_invert_clicks_round_trip():
@@ -191,8 +222,9 @@ def test_invert_clicks_round_trip():
 
 
 def test_invert_clicks_recovers_zeros_to_lu_accuracy():
-    # The LU solution's negatives (~cond(L) eps) are zeros of p, not signs of
-    # infeasibility; the active set's normal equations would be ~200 cond(L) eps off.
+    # The LU solution's negatives (~cond(L) eps) fail the -1e-12 test, so the
+    # record goes to the active set, whose reduced least squares must return
+    # the zeros of p to within cond(L) eps as well.
     det = DetectorModel(6, efficiency=0.2, dark_click_prob=0.2)
     probs = np.zeros(7)
     probs[[1, 3, 6]] = 1.0 / 3.0

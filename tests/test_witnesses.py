@@ -39,6 +39,22 @@ def test_q_binomial_zero_for_binomial_clicks():
     assert abs(q_binomial(c)) < 1e-10
 
 
+def test_q_binomial_is_negative_for_coherent_light_on_unequal_bins():
+    # A documented limit, not a feature: Q_B's binomial benchmark assumes
+    # equal bins.  On unequal bins coherent light lights each bin on its own
+    # with p_b = 1 - exp(-eta w_b mu), and this Poisson-binomial variance
+    # sum p_b (1 - p_b) lies below N pbar (1 - pbar), so Q_B < 0 although
+    # the light is classical.
+    for s, expected in ((0.1, -1.5286e-3), (0.2, -6.1329e-3), (0.3, -1.3869e-2)):
+        w = 1.0 + s * np.linspace(-1.0, 1.0, 8)
+        w /= w.sum()
+        det = DetectorModel(8, efficiency=0.6, bin_weights=tuple(w))
+        p = 1.0 - np.exp(-0.6 * 6.0 * w)
+        poisson_binomial = 8 * np.sum(p * (1 - p)) / (p.sum() * (8 - p.sum())) - 1.0
+        assert poisson_binomial == pytest.approx(expected, rel=1e-4)
+        assert q_binomial(forward_clicks(coherent_pn(6.0), det)) == pytest.approx(poisson_binomial, abs=1e-8)
+
+
 def test_q_binomial_single_photon_is_minus_one():
     c = forward_clicks(fock_pn(1), DetectorModel.ideal(8))
     assert q_binomial(c) == -1.0
