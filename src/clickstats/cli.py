@@ -88,29 +88,23 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    from .witnesses import mc_witness, q_binomial, q_fake
+    from .witnesses import CLICK_WITNESSES, one_row, poisson_bootstrap
 
     data = cio.sniff_click_csv(_read_input(args.input))
-    payload = {"schema_version": cio.SCHEMA_VERSION, "kind": "witness", "witness": args.witness}
-    if args.witness == "Q_M":
-        from .inversion import mc_q_mandel_from_clicks, q_mandel_from_clicks
+    rows = CLICK_WITNESSES.get(args.witness)
+    if rows is None:  # Q_M, through the inversion
+        from .inversion import q_mandel_rows
 
         if args.detector is None:
             raise InvalidArgumentError("witness Q_M needs --detector for the inversion")
         det = _require_detector(args.detector)
         n_max = args.n_max if args.n_max is not None else det.n_bins
-        if isinstance(data, CountRecord):
-            est = mc_q_mandel_from_clicks(
-                data, det, n_max, n_replicas=args.replicas, seed=args.seed
-            )
-            payload.update(cio.estimate_to_dict(est))
-        else:
-            payload["value"] = q_mandel_from_clicks(data, det, n_max)
-    elif isinstance(data, CountRecord):
-        est = mc_witness(data, args.witness, n_replicas=args.replicas, seed=args.seed)
-        payload.update(cio.estimate_to_dict(est))
+        rows = q_mandel_rows(det, n_max, data.n_bins, "constrained")
+    payload = {"schema_version": cio.SCHEMA_VERSION, "kind": "witness", "witness": args.witness}
+    if isinstance(data, CountRecord):
+        payload.update(cio.estimate_to_dict(poisson_bootstrap(data, rows, args.replicas, args.seed)))
     else:
-        payload["value"] = q_binomial(data) if args.witness == "Q_B" else q_fake(data)
+        payload["value"] = one_row(rows, data.probs, rows.why)
     _write_output(args, cio.to_json(payload))
     return 0
 

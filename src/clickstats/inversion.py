@@ -21,6 +21,7 @@ state under test, not something to be divided out.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +30,7 @@ import numpy as np
 from .detector import ClickDistribution, CountRecord, DetectorModel, click_matrix
 from .distributions import PhotonDistribution, check_count
 from .errors import IllConditionedInversionError, InvalidArgumentError, SolverNotConvergedError
-from .witnesses import WitnessEstimate, mandel_rows, poisson_bootstrap, q_mandel
+from .witnesses import WitnessEstimate, mandel_rows, one_row, poisson_bootstrap
 
 _METHODS = ("constrained", "pseudo_inverse")
 
@@ -215,23 +216,13 @@ def _condition_number(det: DetectorModel, n_max: int) -> float:
     return float(np.linalg.cond(click_matrix(det, n_max)))
 
 
-def invert_clicks(
-    c: ClickDistribution,
-    det: DetectorModel,
-    n_max: int,
-    method: str = "constrained",
-) -> InversionResult:
-    """Solve c = L p for the photon-number distribution p on 0..n_max.
-
-    Raises:
-        IllConditionedInversionError: more photon-number unknowns than
-            click outcomes (n_max > n_bins), or cond(L) beyond 1e12.
-    """
+def _click_law(det: DetectorModel, n_max: int, n_bins: int, method: str) -> tuple[np.ndarray, float]:
+    """L = ``click_matrix(det, n_max)`` and cond(L), once inverting clicks over ``n_bins`` is well posed."""
     if method not in _METHODS:
         raise InvalidArgumentError(f"method must be one of {_METHODS}, got {method!r}")
-    if c.n_bins != det.n_bins:
+    if n_bins != det.n_bins:
         raise InvalidArgumentError(
-            f"click distribution has {c.n_bins} bins, detector has {det.n_bins}"
+            f"click distribution has {n_bins} bins, detector has {det.n_bins}"
         )
     n_max = check_count(n_max, "n_max")
     if n_max > det.n_bins:
@@ -246,12 +237,51 @@ def invert_clicks(
             f"click matrix condition number {cond:.3g} exceeds {CONDITION_LIMIT:.0e}",
             condition_number=cond,
         )
-    if method == "pseudo_inverse":
-        probs = np.linalg.pinv(L) @ c.probs
-    else:
-        probs = lstsq_simplex(L, c.probs)
+    return L, cond
+
+
+def _solve(L: np.ndarray, freqs: np.ndarray, method: str) -> np.ndarray:
+    """The inversion of one row or a stack of rows: a pseudo-inverse product or ``lstsq_simplex``."""
+    return freqs @ np.linalg.pinv(L).T if method == "pseudo_inverse" else lstsq_simplex(L, freqs)
+
+
+def invert_clicks(
+    c: ClickDistribution,
+    det: DetectorModel,
+    n_max: int,
+    method: str = "constrained",
+) -> InversionResult:
+    """Solve c = L p for the photon-number distribution p on 0..n_max.
+
+    Raises:
+        IllConditionedInversionError: more photon-number unknowns than
+            click outcomes (n_max > n_bins), or cond(L) beyond 1e12.
+    """
+    L, cond = _click_law(det, n_max, c.n_bins, method)
+    probs = _solve(L, c.probs, method)
     residual = float(np.linalg.norm(L @ probs - c.probs))
     return InversionResult(probs=probs, residual_norm=residual, condition_number=cond, method=method)
+
+
+def q_mandel_rows(det: DetectorModel, n_max: int, n_bins: int, method: str) -> Callable:
+    """``q_mandel_from_clicks`` of each row of a click-frequency stack, undefined rows left out.
+
+    The returned rows function inverts all rows with one batched solve; its
+    ``why`` says what leaves a row out.
+    """
+    L = _click_law(det.with_efficiency(1.0), n_max, n_bins, method)[0]
+
+    def rows(freqs: np.ndarray) -> np.ndarray:
+        probs = _solve(L, freqs, method)
+        if method == "pseudo_inverse":
+            probs = probs[-np.clip(probs, None, 0.0).sum(axis=1) <= _NEGATIVE_MASS_ATOL]
+        probs = np.clip(probs, 0.0, None)
+        return mandel_rows(probs / probs.sum(axis=1, keepdims=True))
+
+    rows.why = "mean photon number is 0" + (
+        "" if method == "constrained" else ", or pseudo-inverse negative mass beyond 1e-9; use the constrained method"
+    )
+    return rows
 
 
 def q_mandel_from_clicks(
@@ -260,16 +290,15 @@ def q_mandel_from_clicks(
     n_max: int,
     method: str = "constrained",
 ) -> float:
-    """Mandel witness of the detected photons behind a click record.
+    """Mandel witness of the detected photons behind a click record: ``q_mandel_rows`` on one row.
 
     The inversion uses the detector with its efficiency set to 1 (dark
     counts kept), so loss is not divided out: a pure single photon seen
     through 60% efficiency comes back as Q = -0.6, the witness of the
     surviving photon flux.
     """
-    stripped = det.with_efficiency(1.0)
-    result = invert_clicks(c, stripped, n_max, method=method)
-    return q_mandel(result.distribution())
+    rows = q_mandel_rows(det, n_max, c.n_bins, method)
+    return one_row(rows, c.probs, rows.why)
 
 
 def mc_q_mandel_from_clicks(
@@ -280,30 +309,5 @@ def mc_q_mandel_from_clicks(
     n_replicas: int = 10_000,
     seed=None,
 ) -> WitnessEstimate:
-    """Bootstrap ``q_mandel_from_clicks`` under Poissonian counting noise.
-
-    Runs :func:`clickstats.witnesses.poisson_bootstrap`, as ``mc_witness``
-    does: each replica redraws every count as Poisson around the observed
-    value, is inverted, and its recovered photon statistics are scored with
-    the Mandel witness.  All replicas are inverted by one batched
-    :func:`lstsq_simplex` call (or one pseudo-inverse product), matching
-    ``q_mandel_from_clicks`` on each replica up to round-off.  Replicas
-    whose witness is undefined (mean photon number 0, or pseudo-inverse
-    negative mass beyond 1e-9) are dropped.
-    """
-
-    def point(c: ClickDistribution) -> float:
-        return q_mandel_from_clicks(c, det, n_max, method=method)
-
-    def replica_values(freqs: np.ndarray) -> np.ndarray:
-        # ``point`` ran first and has checked det, n_max, method and cond(L).
-        L = click_matrix(det.with_efficiency(1.0), n_max)
-        if method == "pseudo_inverse":
-            probs = freqs @ np.linalg.pinv(L).T
-            probs = probs[-np.clip(probs, None, 0.0).sum(axis=1) <= _NEGATIVE_MASS_ATOL]
-        else:
-            probs = lstsq_simplex(L, freqs)
-        probs = np.clip(probs, 0.0, None)
-        return mandel_rows(probs / probs.sum(axis=1, keepdims=True))
-
-    return poisson_bootstrap(record, point, replica_values, n_replicas, seed)
+    """Bootstrap ``q_mandel_from_clicks`` under Poissonian counting noise: ``poisson_bootstrap`` on ``q_mandel_rows``."""
+    return poisson_bootstrap(record, q_mandel_rows(det, n_max, record.n_bins, method), n_replicas, seed)

@@ -11,11 +11,13 @@ Three normalized dispersion measures:
   a counterexample: it goes negative even for coherent light, because
   clipping at N bins suppresses the variance.
 
-``mc_witness`` propagates counting noise through either click witness by
-parametric bootstrap: replica records are drawn with each entry Poisson
-around the observed count, mirroring how raw coincidence counters
-accumulate events.  ``poisson_bootstrap`` is that bootstrap, shared with
-the inversion-route ``mc_q_mandel_from_clicks``.
+Each witness is defined once, as a function of a stack of frequency rows
+that leaves out the rows where it is undefined (``mandel_rows``,
+``CLICK_WITNESSES``); a point value is that function on one row
+(``one_row``).  ``poisson_bootstrap`` applies the same function to replica
+records drawn with each entry Poisson around the observed count, mirroring
+how raw coincidence counters accumulate events: ``mc_witness`` for the
+click witnesses, ``mc_q_mandel_from_clicks`` for the inversion route.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import ClickDistribution, CountRecord
-from .distributions import PhotonDistribution, check_count, moments
+from .distributions import PhotonDistribution, check_count
 from .errors import InvalidArgumentError, UndefinedWitnessError
 
 #: Relative floor under which a mean click number makes the witnesses 0/0.
@@ -61,12 +63,17 @@ class WitnessEstimate:
         object.__setattr__(self, "samples", samples)
 
 
+def one_row(rows: Callable[[np.ndarray], np.ndarray], probs, why: str) -> float:
+    """The witness ``rows`` of the one distribution ``probs``; UndefinedWitnessError(why) if left out."""
+    values = rows(np.asarray(probs, dtype=float)[None, :])
+    if not values.size:
+        raise UndefinedWitnessError(why)
+    return float(values[0])
+
+
 def q_mandel(p: PhotonDistribution) -> float:
     """Variance-to-mean witness on photon numbers: Var(n)/E(n) - 1."""
-    mean, var = moments(p)
-    if mean <= _MEAN_FLOOR:
-        raise UndefinedWitnessError("mean photon number is 0")
-    return var / mean - 1.0
+    return one_row(mandel_rows, p.probs, "mean photon number is 0")
 
 
 def q_binomial(c: ClickDistribution) -> float:
@@ -78,13 +85,7 @@ def q_binomial(c: ClickDistribution) -> float:
     Q_B < 0 (-0.014 for 8 bins weighted 1 + 0.3 linspace(-1, 1), eta 0.6,
     coherent mean 6).
     """
-    n_bins = c.n_bins
-    mean, var = moments(c)
-    if mean <= _MEAN_FLOOR or mean >= n_bins - _PINNED_GAP:
-        raise UndefinedWitnessError(
-            f"mean click number {mean!r} leaves no binomial spread over {n_bins} bins"
-        )
-    return n_bins * var / (mean * (n_bins - mean)) - 1.0
+    return one_row(_binomial_rows, c.probs, _binomial_rows.why)
 
 
 def q_fake(c: ClickDistribution) -> float:
@@ -93,10 +94,7 @@ def q_fake(c: ClickDistribution) -> float:
     Not a witness.  For coherent light on an ideal N-bin detector the
     clicks are Binomial(N, q) and this returns -q < 0.
     """
-    mean, var = moments(c)
-    if mean <= _MEAN_FLOOR:
-        raise UndefinedWitnessError("mean click number is 0")
-    return var / mean - 1.0
+    return one_row(mandel_rows, c.probs, "mean click number is 0")
 
 
 def _row_moments(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,6 +111,9 @@ def mandel_rows(probs: np.ndarray) -> np.ndarray:
     return var[keep] / mean[keep] - 1.0
 
 
+mandel_rows.why = "mean is 0"
+
+
 def _binomial_rows(probs: np.ndarray) -> np.ndarray:
     """``q_binomial`` of each row of ``probs``, rows with mean clicks pinned at 0 or N left out."""
     n_bins = probs.shape[1] - 1
@@ -121,35 +122,38 @@ def _binomial_rows(probs: np.ndarray) -> np.ndarray:
     return n_bins * var[keep] / (mean[keep] * (n_bins - mean[keep])) - 1.0
 
 
-#: Click witness name -> (the witness, the same witness over replica rows).
-_WITNESSES = {"Q_B": (q_binomial, _binomial_rows), "Q_F": (q_fake, mandel_rows)}
+_binomial_rows.why = "mean click number is pinned at 0 or N, leaving no binomial spread"
+
+#: Click witness name -> the witness over a stack of click-frequency rows.
+CLICK_WITNESSES = {"Q_B": _binomial_rows, "Q_F": mandel_rows}
 
 
 def witness_from_counts(record: CountRecord, witness: str) -> float:
     """Evaluate a click witness on raw counts (relative frequencies)."""
-    if witness not in _WITNESSES:
-        raise InvalidArgumentError(f"witness must be one of {tuple(_WITNESSES)}, got {witness!r}")
+    if witness not in CLICK_WITNESSES:
+        raise InvalidArgumentError(f"witness must be one of {tuple(CLICK_WITNESSES)}, got {witness!r}")
+    rows = CLICK_WITNESSES[witness]
     counts = np.asarray(record.counts, dtype=float)
     total = counts.sum()
     if total <= 0:
         raise UndefinedWitnessError("count record is empty")
-    return _WITNESSES[witness][0](ClickDistribution(counts / total))
+    return one_row(rows, counts / total, rows.why)
 
 
 def poisson_bootstrap(
     record: CountRecord,
-    point: Callable[[ClickDistribution], float],
-    replica_values: Callable[[np.ndarray], np.ndarray],
+    rows: Callable[[np.ndarray], np.ndarray],
     n_replicas: int,
     seed,
 ) -> WitnessEstimate:
     """The bootstrap engine behind every ``mc_*`` witness.
 
-    ``point`` scores the observed frequencies.  The replicas redraw every
-    counts[i] as Poisson(counts[i]), as the one draw
+    ``rows`` maps a stack of click-frequency rows to the witness of each
+    row where it is defined.  The value is ``one_row`` of the observed
+    frequencies, raising with ``rows.why`` where set.  The replicas redraw
+    every counts[i] as Poisson(counts[i]), as the one draw
     ``default_rng(seed).poisson(counts, size=(n_replicas, N+1))``; those
-    with zero total are dropped, and ``replica_values`` maps the frequency
-    matrix of the rest to the values of its rows with a defined witness.
+    with zero total are dropped, and ``rows`` scores the rest.
 
     Only the columns with a non-zero count are drawn, into a zero matrix.
     The replicas still equal the full draw bit for bit: numpy's Poisson
@@ -160,7 +164,8 @@ def poisson_bootstrap(
         InvalidArgumentError: n_replicas not an integer >= 2, a negative
             integer seed, counts beyond numpy's Poisson sampler (~9.2e18),
             or a replica matrix too large to allocate.
-        UndefinedWitnessError: an empty record, or < 2 defined replicas.
+        UndefinedWitnessError: an empty record, no witness of the observed
+            record, or < 2 defined replicas.
     """
     n_replicas = check_count(n_replicas, "n_replicas")
     if n_replicas < 2:
@@ -169,7 +174,7 @@ def poisson_bootstrap(
     total = counts.sum()
     if total <= 0:
         raise UndefinedWitnessError("count record is empty")
-    value = point(ClickDistribution(counts / total))
+    value = one_row(rows, counts / total, getattr(rows, "why", "the record's witness is undefined"))
 
     if isinstance(seed, (int, np.integer)):
         check_count(seed, "seed")
@@ -187,7 +192,7 @@ def poisson_bootstrap(
     totals = replicas.sum(axis=1, dtype=float)
     if not totals.all():  # copy the rows only when some replica is empty
         replicas, totals = replicas[totals > 0], totals[totals > 0]
-    samples = replica_values(replicas / totals[:, None])
+    samples = rows(replicas / totals[:, None])
     if samples.size < 2:
         raise UndefinedWitnessError(
             f"only {samples.size} of {n_replicas} replicas gave a defined witness"
@@ -207,16 +212,12 @@ def mc_witness(
     n_replicas: int = 10_000,
     seed=None,
 ) -> WitnessEstimate:
-    """Bootstrap a click witness under Poissonian counting noise.
+    """Bootstrap a click witness under Poissonian counting noise: ``poisson_bootstrap`` on its rows.
 
-    Runs :func:`poisson_bootstrap`, all replicas at once.  The reported
-    value is the witness of the observed record; the standard error is the
-    sample standard deviation over defined replicas.  Replicas with an
-    undefined witness (empty record, or mean clicks pinned at 0 or N) are
-    dropped and reported via ``dropped_fraction``.
+    Replicas with an undefined witness (empty record, or mean clicks pinned
+    at 0 or N) are dropped and reported via ``dropped_fraction``.
     """
-    if witness not in _WITNESSES:
-        raise InvalidArgumentError(f"witness must be one of {tuple(_WITNESSES)}, got {witness!r}")
-    point, replica_values = _WITNESSES[witness]
-    return poisson_bootstrap(record, point, replica_values, n_replicas, seed)
+    if witness not in CLICK_WITNESSES:
+        raise InvalidArgumentError(f"witness must be one of {tuple(CLICK_WITNESSES)}, got {witness!r}")
+    return poisson_bootstrap(record, CLICK_WITNESSES[witness], n_replicas, seed)
 

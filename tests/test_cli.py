@@ -13,12 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clickstats
-from clickstats import CountRecord, DetectorModel, click_matrix, coherent_pn, fock_pn, forward_clicks
+from clickstats import (
+    CountRecord,
+    DetectorModel,
+    click_matrix,
+    coherent_pn,
+    fock_pn,
+    forward_clicks,
+    mc_q_mandel_from_clicks,
+)
 from clickstats.cli import main
 from clickstats.io import (
     click_distribution_to_csv,
     count_record_to_csv,
+    estimate_to_dict,
     photon_distribution_to_csv,
+    to_json,
 )
 from clickstats.detector import sample_counts
 
@@ -197,8 +207,12 @@ def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path):
         ["matrix", "--detector", "uniform:4,0.5", "--n-max", "6"],
         ["forward", "--source", "coherent:1", "--n-max", "6", "--detector", "ideal:4"],
         ["witness", "--input", str(counts), "--replicas", "50"],
+        ["witness", "--input", str(counts), "--replicas", "50", "--witness", "Q_F"],
     ):
         assert not loaded(f"from clickstats.cli import main\nmain({argv!r})") & unused, argv
+    argv = ["witness", "--input", str(counts), "--replicas", "50", "--witness", "Q_M", "--detector", "ideal:2"]
+    assert "clickstats.inversion" in loaded(f"from clickstats.cli import main\nmain({argv!r})")
+    assert not loaded(f"from clickstats.cli import main\nmain({argv!r})") & (unused - {"clickstats.inversion"})
 
 
 def test_every_traced_function_resolves():
@@ -226,6 +240,17 @@ def test_witness_q_mandel_through_inversion(tmp_path, capsys):
         )
     )
     assert payload["value"] == pytest.approx(-0.6, abs=1e-6)
+
+
+def test_witness_q_mandel_on_counts_is_the_library_bootstrap(tmp_path, capsys):
+    det = DetectorModel(8, efficiency=0.6)
+    record = sample_counts(forward_clicks(fock_pn(1), det), 20_000, seed=2)
+    path = tmp_path / "counts.csv"
+    path.write_text(count_record_to_csv(record))
+    argv = ["witness", "--input", str(path), "--witness", "Q_M", "--detector", "uniform:8,0.6"]
+    out = run_ok(capsys, [*argv, "--replicas", "300", "--seed", "6"])
+    est = mc_q_mandel_from_clicks(record, det, 8, n_replicas=300, seed=6)
+    assert out == to_json({"schema_version": 1, "kind": "witness", "witness": "Q_M", **estimate_to_dict(est)})
 
 
 def test_witness_q_mandel_requires_detector(tmp_path, capsys):

@@ -19,6 +19,9 @@ from clickstats import (
     invert_clicks,
     lstsq_simplex,
     mc_q_mandel_from_clicks,
+    mc_witness,
+    q_binomial,
+    q_fake,
     q_mandel_from_clicks,
     sample_counts,
 )
@@ -250,6 +253,20 @@ def test_pseudo_inverse_reports_negative_mass():
     fitted.distribution()  # must not raise
 
 
+def test_pseudo_inverse_negative_mass_leaves_q_mandel_undefined():
+    # The record above, reached by no photon distribution: its pseudo-inverse
+    # witness is undefined, the condition that drops a bootstrap replica.
+    det = DetectorModel.ideal(8)
+    c = ClickDistribution(np.array([0.5, 0, 0, 0, 0, 0, 0, 0, 0.5]))
+    record = CountRecord((500, 0, 0, 0, 0, 0, 0, 0, 500))
+    with pytest.raises(UndefinedWitnessError, match="negative mass.*use the constrained method"):
+        q_mandel_from_clicks(c, det, 8, method="pseudo_inverse")
+    with pytest.raises(UndefinedWitnessError, match="negative mass.*use the constrained method"):
+        mc_q_mandel_from_clicks(record, det, 8, method="pseudo_inverse", n_replicas=100, seed=0)
+    with pytest.raises(InvalidArgumentError, match="negative mass"):
+        invert_clicks(c, det, n_max=8, method="pseudo_inverse").distribution()
+
+
 def test_condition_number_is_cached():
     det = DetectorModel(8, dark_click_prob=0.02)
     cond = _condition_number(det, 6)
@@ -309,9 +326,9 @@ def test_mc_q_mandel_from_clicks_reproducible():
         mc_q_mandel_from_clicks(rec, det, n_max=8, n_replicas=1, seed=0)
 
 
-def _replica_loop(record, det, n_max, method, n_replicas, seed):
+def _replica_loop(record, score, n_replicas, seed):
     """The bootstrap one replica at a time: the same seeded Poisson draws,
-    each scored by ``q_mandel_from_clicks`` and dropped when undefined."""
+    each scored by the scalar witness ``score`` and dropped when undefined."""
     counts = np.asarray(record.counts, dtype=float)
     rng = np.random.default_rng(seed)
     values = []
@@ -319,8 +336,8 @@ def _replica_loop(record, det, n_max, method, n_replicas, seed):
         if row.sum() <= 0:
             continue
         try:
-            values.append(q_mandel_from_clicks(ClickDistribution(row / row.sum()), det, n_max, method=method))
-        except (UndefinedWitnessError, InvalidArgumentError):
+            values.append(score(ClickDistribution(row / row.sum())))
+        except UndefinedWitnessError:
             continue
     return np.array(values)
 
@@ -330,6 +347,7 @@ _DENSE = (20_000, 3_000, 150, 0, 0, 0, 0, 0, 0)
 _FEW = (40, 3, 0, 0, 0, 0, 0, 0, 0)  # many replicas see no click: mean 0, dropped
 _NEAR_NEGATIVE = (1_000, 2, 12, 0, 0, 0, 0, 0, 0)  # replicas past L^-1 c >= 0
 _SPARSE_TAIL = (5_000, 800, 60, 4, 0, 1, 0, 0, 1)  # gaps: the active set on most rows
+_SATURATED = (0, 0, 0, 0, 0, 0, 0, 1, 3)  # Q_B drops the replicas pinned at N clicks
 
 
 @pytest.mark.parametrize(
@@ -347,17 +365,35 @@ _SPARSE_TAIL = (5_000, 800, 60, 4, 0, 1, 0, 0, 1)  # gaps: the active set on mos
 def test_mc_q_mandel_matches_replica_by_replica_loop(counts, method):
     record = CountRecord(counts)
     est = mc_q_mandel_from_clicks(record, _DET, 8, method=method, n_replicas=200, seed=11)
-    loop = _replica_loop(record, _DET, 8, method, 200, 11)
+    loop = _replica_loop(record, lambda c: q_mandel_from_clicks(c, _DET, 8, method=method), 200, 11)
     assert est.samples.shape == loop.shape
     np.testing.assert_allclose(est.samples, loop, rtol=0, atol=1e-9)
     assert est.dropped_fraction == 1.0 - loop.size / 200
     assert est.std_error == pytest.approx(loop.std(ddof=1), rel=1e-9)
 
 
+@pytest.mark.parametrize("witness,score", [("Q_B", q_binomial), ("Q_F", q_fake)])
+@pytest.mark.parametrize("counts", [_DENSE, _FEW, _SATURATED])
+def test_mc_witness_matches_replica_by_replica_loop(counts, witness, score):
+    record = CountRecord(counts)
+    est = mc_witness(record, witness, n_replicas=200, seed=11)
+    loop = _replica_loop(record, score, 200, 11)
+    assert est.samples.shape == loop.shape
+    np.testing.assert_allclose(est.samples, loop, rtol=0, atol=1e-12)
+    assert est.dropped_fraction == 1.0 - loop.size / 200
+    assert est.value == score(ClickDistribution(np.array(counts) / sum(counts)))
+
+
 def test_replica_loop_records_cover_drops_and_the_active_set():
-    # Guards the coverage of the equivalence test above.
+    # Guards the coverage of the equivalence tests above.
     def dropped(counts, method):
         return mc_q_mandel_from_clicks(CountRecord(counts), _DET, 8, method, 200, 11).dropped_fraction
+
+    def click_dropped(counts, witness):
+        return mc_witness(CountRecord(counts), witness, 200, 11).dropped_fraction
+
+    assert click_dropped(_SATURATED, "Q_B") > 0.4 > click_dropped(_SATURATED, "Q_F") > 0.0
+    assert click_dropped(_FEW, "Q_B") > 0.0
 
     assert dropped(_DENSE, "constrained") == dropped(_DENSE, "pseudo_inverse") == 0.0
     assert dropped(_FEW, "constrained") > 0.01

@@ -30,7 +30,7 @@ def test_q_mandel_anchors():
 
 
 def test_q_mandel_undefined_for_vacuum():
-    with pytest.raises(UndefinedWitnessError):
+    with pytest.raises(UndefinedWitnessError, match="mean photon number is 0"):
         q_mandel(fock_pn(0))
 
 
@@ -77,11 +77,11 @@ def test_q_fake_negative_for_coherent():
 def test_click_witnesses_undefined_at_pinned_means():
     vacuum = ClickDistribution(np.array([1.0, 0.0, 0.0]))
     everything = ClickDistribution(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(UndefinedWitnessError):
+    with pytest.raises(UndefinedWitnessError, match="pinned at 0 or N"):
         q_binomial(vacuum)
-    with pytest.raises(UndefinedWitnessError):
+    with pytest.raises(UndefinedWitnessError, match="pinned at 0 or N"):
         q_binomial(everything)
-    with pytest.raises(UndefinedWitnessError):
+    with pytest.raises(UndefinedWitnessError, match="mean click number is 0"):
         q_fake(vacuum)
 
 
@@ -172,7 +172,7 @@ def test_bootstraps_reject_counts_too_large_to_resample():
 def test_poisson_bootstrap_replicas_equal_the_full_documented_draw(counts):
     # Only non-zero counts are drawn; that matches the full draw only while
     # numpy consumes no randomness for a zero rate.
-    est = poisson_bootstrap(CountRecord(counts), lambda c: 0.0, np.ravel, n_replicas=400, seed=17)
+    est = poisson_bootstrap(CountRecord(counts), np.ravel, n_replicas=400, seed=17)
     full = np.random.default_rng(17).poisson(np.array(counts, dtype=float), size=(400, len(counts)))
     totals = full.sum(axis=1, dtype=float)
     expected = full[totals > 0] / totals[totals > 0, None]
