@@ -99,7 +99,7 @@ def _cmd_witness(args) -> int:
             raise InvalidArgumentError("witness Q_M needs --detector for the inversion")
         det = _require_detector(args.detector)
         n_max = args.n_max if args.n_max is not None else det.n_bins
-        rows = q_mandel_rows(det, n_max, data.n_bins, "constrained")
+        rows = q_mandel_rows(det, n_max, data.n_bins)
     payload = {"schema_version": cio.SCHEMA_VERSION, "kind": "witness", "witness": args.witness}
     if isinstance(data, CountRecord):
         payload.update(cio.estimate_to_dict(poisson_bootstrap(data, rows, args.replicas, args.seed)))

@@ -51,6 +51,9 @@ _CLICK_NORM_ATOL = 1e-9
 #: Conditioning below this probability cannot be normalized meaningfully.
 DEGENERATE_PROB = 1e-15
 
+#: The most memory (bytes) and work (multiply-adds) ``click_matrix`` spends on one law.
+MAX_LAW_BYTES, MAX_LAW_MULTIPLY_ADDS = 8e7, 1e10
+
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -211,22 +214,31 @@ def click_matrix(det: DetectorModel, n_max: int) -> np.ndarray:
     The returned (N+1) x (n_max+1) array is read-only and cached; no entry
     is negative and every column sums to 1 to within accumulated rounding
     (< 1e-13).
+
+    Raises:
+        InvalidArgumentError: the law would take more than
+            ``MAX_LAW_BYTES`` or ``MAX_LAW_MULTIPLY_ADDS``; nothing is built.
     """
     n_max = check_count(n_max, "n_max")
-    N = det.n_bins
-    try:
-        L = _lit_bins(det, n_max)
-        if det.dark_click_prob > 0.0:
-            # flips[j, i] = P(j clicks | i lit): j - i of the N - i silent bins fire.
-            silent = binomial_matrix(det.dark_click_prob, N)
-            flips = np.zeros((N + 1, N + 1))
-            for i in range(N + 1):
-                flips[i:, i] = silent[: N + 1 - i, N - i]
-            L = flips @ L
-    except MemoryError:
-        raise InvalidArgumentError(
-            f"{N + 1} x {n_max + 1} click probabilities do not fit in memory"
-        ) from None
+    N, cols, dark = det.n_bins, n_max + 1, det.dark_click_prob > 0.0
+    # Floats: the law, a non-uniform bin's Pascal table, the two dark-click
+    # matrices.  Work: the recurrence, then the dark-click product.
+    floats = (N + 1) * cols + (0 if det.is_uniform else cols * cols) + 2 * dark * (N + 1) ** 2
+    work = ((N + 1) * cols if det.is_uniform else N * N * cols * cols) + dark * (N + 1) ** 2 * cols
+    if 8 * floats > MAX_LAW_BYTES or work > MAX_LAW_MULTIPLY_ADDS:
+        raise InvalidArgumentError(  # min(): an int beyond float range cannot be formatted
+            f"a {N + 1} x {cols} click law needs ~{min(8 * floats, 1e300):.2g} bytes and "
+            f"~{min(work, 1e300):.2g} multiply-adds; the limits are {MAX_LAW_BYTES:.0e} "
+            f"and {MAX_LAW_MULTIPLY_ADDS:.0e}"
+        )
+    L = _lit_bins(det, n_max)
+    if dark:
+        # flips[j, i] = P(j clicks | i lit): j - i of the N - i silent bins fire.
+        silent = binomial_matrix(det.dark_click_prob, N)
+        flips = np.zeros((N + 1, N + 1))
+        for i in range(N + 1):
+            flips[i:, i] = silent[: N + 1 - i, N - i]
+        L = flips @ L
     L.flags.writeable = False
     return L
 

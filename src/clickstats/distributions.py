@@ -69,14 +69,20 @@ class PhotonDistribution:
         return moments(self)[1]
 
 
-def moments(p) -> tuple[float, float]:
-    """Return (mean, variance) of a photon-number (or click-number) distribution.
+def row_moments(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, variance) of each row of a stack of distributions over n = 0, 1, ...
 
     The variance is E[n^2] - E[n]^2, the form the witnesses are defined on.
     """
-    n = np.arange(p.probs.size, dtype=float)
-    mean = float(n @ p.probs)
-    return mean, float((n * n) @ p.probs) - mean * mean
+    n = np.arange(probs.shape[1], dtype=float)
+    mean = probs @ n
+    return mean, probs @ (n * n) - mean * mean
+
+
+def moments(p) -> tuple[float, float]:
+    """Return (mean, variance) of a photon-number (or click-number) distribution: ``row_moments`` of one row."""
+    mean, var = row_moments(p.probs[None, :])
+    return float(mean[0]), float(var[0])
 
 
 def is_integer(value) -> bool:

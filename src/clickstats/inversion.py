@@ -3,20 +3,21 @@
 The click law c = L p is linear, so in principle inversion is a pseudo-inverse.
 In practice L is ill-conditioned as soon as the photon support is rich
 compared to the number of bins, and the unconstrained solution picks up
-negative entries.  Two methods are offered side by side:
+negative entries.  The solver is least squares restricted to the
+probability simplex (p >= 0, sum p = 1), ``lstsq_simplex``: a square L is
+solved directly first; the other records go through an active-set
+iteration of reduced least-squares solves.  Both keep the error near
+cond(L) eps.  ``invert_clicks`` also offers the plain Moore-Penrose solve
+(``method="pseudo_inverse"``), reported raw so the negativity artifacts
+stay visible.
 
-- ``pseudo_inverse``: plain Moore-Penrose solve, reported raw so the
-  negativity artifacts stay visible.
-- ``constrained``: least squares restricted to the probability simplex
-  (p >= 0, sum p = 1).  A square L is solved directly first; the other
-  records go through an active-set iteration of reduced least-squares
-  solves.  Both keep the error near cond(L) eps.
-
-``q_mandel_from_clicks`` inverts with the detector's efficiency stripped
-(dark counts kept), so the recovered statistics, and the witness computed
-from them, refer to the photons that actually reached the detector.  That
-matches how the witness is used: detection loss is part of the optical
-state under test, not something to be divided out.
+The Q_M route (``q_mandel_rows``, ``q_mandel_from_clicks``,
+``mc_q_mandel_from_clicks``) always inverts on the simplex, with the
+detector's efficiency stripped (dark counts kept), so the recovered
+statistics, and the witness computed from them, refer to the photons that
+actually reached the detector.  That matches how the witness is used:
+detection loss is part of the optical state under test, not something to
+be divided out.
 """
 
 from __future__ import annotations
@@ -194,14 +195,14 @@ class InversionResult:
     def negative_mass(self) -> float:
         return float(-np.clip(self.probs, None, 0.0).sum())
 
-    def distribution(self, atol: float = _NEGATIVE_MASS_ATOL) -> PhotonDistribution:
+    def distribution(self) -> PhotonDistribution:
         """The solution as a normalized distribution.
 
         Raises:
             InvalidArgumentError: the raw solution has negative mass beyond
-                ``atol`` and cannot honestly be read as probabilities.
+                1e-9 and cannot honestly be read as probabilities.
         """
-        if self.negative_mass > atol:
+        if self.negative_mass > _NEGATIVE_MASS_ATOL:
             raise InvalidArgumentError(
                 f"inverted probabilities carry negative mass {self.negative_mass:.3g}; "
                 "use the constrained method"
@@ -216,10 +217,8 @@ def _condition_number(det: DetectorModel, n_max: int) -> float:
     return float(np.linalg.cond(click_matrix(det, n_max)))
 
 
-def _click_law(det: DetectorModel, n_max: int, n_bins: int, method: str) -> tuple[np.ndarray, float]:
+def _click_law(det: DetectorModel, n_max: int, n_bins: int) -> tuple[np.ndarray, float]:
     """L = ``click_matrix(det, n_max)`` and cond(L), once inverting clicks over ``n_bins`` is well posed."""
-    if method not in _METHODS:
-        raise InvalidArgumentError(f"method must be one of {_METHODS}, got {method!r}")
     if n_bins != det.n_bins:
         raise InvalidArgumentError(
             f"click distribution has {n_bins} bins, detector has {det.n_bins}"
@@ -240,11 +239,6 @@ def _click_law(det: DetectorModel, n_max: int, n_bins: int, method: str) -> tupl
     return L, cond
 
 
-def _solve(L: np.ndarray, freqs: np.ndarray, method: str) -> np.ndarray:
-    """The inversion of one row or a stack of rows: a pseudo-inverse product or ``lstsq_simplex``."""
-    return freqs @ np.linalg.pinv(L).T if method == "pseudo_inverse" else lstsq_simplex(L, freqs)
-
-
 def invert_clicks(
     c: ClickDistribution,
     det: DetectorModel,
@@ -253,43 +247,38 @@ def invert_clicks(
 ) -> InversionResult:
     """Solve c = L p for the photon-number distribution p on 0..n_max.
 
+    ``method`` is ``"constrained"`` (``lstsq_simplex``) or
+    ``"pseudo_inverse"`` (the raw Moore-Penrose solve).
+
     Raises:
         IllConditionedInversionError: more photon-number unknowns than
             click outcomes (n_max > n_bins), or cond(L) beyond 1e12.
     """
-    L, cond = _click_law(det, n_max, c.n_bins, method)
-    probs = _solve(L, c.probs, method)
+    if method not in _METHODS:
+        raise InvalidArgumentError(f"method must be one of {_METHODS}, got {method!r}")
+    L, cond = _click_law(det, n_max, c.n_bins)
+    probs = c.probs @ np.linalg.pinv(L).T if method == "pseudo_inverse" else lstsq_simplex(L, c.probs)
     residual = float(np.linalg.norm(L @ probs - c.probs))
     return InversionResult(probs=probs, residual_norm=residual, condition_number=cond, method=method)
 
 
-def q_mandel_rows(det: DetectorModel, n_max: int, n_bins: int, method: str) -> Callable:
+def q_mandel_rows(det: DetectorModel, n_max: int, n_bins: int) -> Callable:
     """``q_mandel_from_clicks`` of each row of a click-frequency stack, undefined rows left out.
 
-    The returned rows function inverts all rows with one batched solve; its
-    ``why`` says what leaves a row out.
+    The returned rows function inverts all rows with one batched
+    ``lstsq_simplex`` call; its ``why`` says what leaves a row out.
     """
-    L = _click_law(det.with_efficiency(1.0), n_max, n_bins, method)[0]
+    L = _click_law(det.with_efficiency(1.0), n_max, n_bins)[0]
 
     def rows(freqs: np.ndarray) -> np.ndarray:
-        probs = _solve(L, freqs, method)
-        if method == "pseudo_inverse":
-            probs = probs[-np.clip(probs, None, 0.0).sum(axis=1) <= _NEGATIVE_MASS_ATOL]
-        probs = np.clip(probs, 0.0, None)
+        probs = lstsq_simplex(L, freqs)
         return mandel_rows(probs / probs.sum(axis=1, keepdims=True))
 
-    rows.why = "mean photon number is 0" + (
-        "" if method == "constrained" else ", or pseudo-inverse negative mass beyond 1e-9; use the constrained method"
-    )
+    rows.why = "mean photon number is 0"
     return rows
 
 
-def q_mandel_from_clicks(
-    c: ClickDistribution,
-    det: DetectorModel,
-    n_max: int,
-    method: str = "constrained",
-) -> float:
+def q_mandel_from_clicks(c: ClickDistribution, det: DetectorModel, n_max: int) -> float:
     """Mandel witness of the detected photons behind a click record: ``q_mandel_rows`` on one row.
 
     The inversion uses the detector with its efficiency set to 1 (dark
@@ -297,7 +286,7 @@ def q_mandel_from_clicks(
     through 60% efficiency comes back as Q = -0.6, the witness of the
     surviving photon flux.
     """
-    rows = q_mandel_rows(det, n_max, c.n_bins, method)
+    rows = q_mandel_rows(det, n_max, c.n_bins)
     return one_row(rows, c.probs, rows.why)
 
 
@@ -305,9 +294,8 @@ def mc_q_mandel_from_clicks(
     record: CountRecord,
     det: DetectorModel,
     n_max: int,
-    method: str = "constrained",
     n_replicas: int = 10_000,
     seed=None,
 ) -> WitnessEstimate:
     """Bootstrap ``q_mandel_from_clicks`` under Poissonian counting noise: ``poisson_bootstrap`` on ``q_mandel_rows``."""
-    return poisson_bootstrap(record, q_mandel_rows(det, n_max, record.n_bins, method), n_replicas, seed)
+    return poisson_bootstrap(record, q_mandel_rows(det, n_max, record.n_bins), n_replicas, seed)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import ClickDistribution, CountRecord
-from .distributions import PhotonDistribution, check_count
+from .distributions import PhotonDistribution, check_count, row_moments
 from .errors import InvalidArgumentError, UndefinedWitnessError
 
 #: Relative floor under which a mean click number makes the witnesses 0/0.
@@ -97,16 +97,9 @@ def q_fake(c: ClickDistribution) -> float:
     return one_row(mandel_rows, c.probs, "mean click number is 0")
 
 
-def _row_moments(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, variance) of each row of a stack of distributions, as ``moments``."""
-    n = np.arange(probs.shape[1], dtype=float)
-    mean = probs @ n
-    return mean, probs @ (n * n) - mean * mean
-
-
 def mandel_rows(probs: np.ndarray) -> np.ndarray:
     """Var/E - 1 of each row of ``probs`` (``q_mandel``, ``q_fake``), rows with mean 0 left out."""
-    mean, var = _row_moments(probs)
+    mean, var = row_moments(probs)
     keep = mean > _MEAN_FLOOR
     return var[keep] / mean[keep] - 1.0
 
@@ -117,7 +110,7 @@ mandel_rows.why = "mean is 0"
 def _binomial_rows(probs: np.ndarray) -> np.ndarray:
     """``q_binomial`` of each row of ``probs``, rows with mean clicks pinned at 0 or N left out."""
     n_bins = probs.shape[1] - 1
-    mean, var = _row_moments(probs)
+    mean, var = row_moments(probs)
     keep = (mean > _MEAN_FLOOR) & (mean < n_bins - _PINNED_GAP)
     return n_bins * var[keep] / (mean[keep] * (n_bins - mean[keep])) - 1.0
 

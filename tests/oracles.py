@@ -337,3 +337,44 @@ def simplex_lstsq_on_support_exact(A, b, support):
     for j, value in zip(support, _eliminate(rows)):
         x[j] = value
     return x
+
+
+def click_witness_of_counts(counts, witness):
+    """Q_B or Q_F of a vector of (possibly fractional) counts, from the moments of the frequencies."""
+    counts = np.asarray(counts, dtype=float)
+    n_bins = counts.size - 1
+    f = counts / counts.sum()
+    i = np.arange(counts.size)
+    mean = float(np.sum(i * f))
+    var = float(np.sum((i - mean) ** 2 * f))
+    if witness == "Q_F":
+        return var / mean - 1.0
+    return n_bins * var / (mean * (n_bins - mean)) - 1.0
+
+
+def click_witness_gradient(counts, witness):
+    """The closed-form gradient dQ/dn_i of ``click_witness_of_counts`` in each count n_i.
+
+    With T = sum n, f = n / T, m = sum i f and v = sum (i - m)^2 f:
+    dm/dn_i = (i - m) / T and dv/dn_i = ((i - m)^2 - v) / T, so
+    Q_F = v/m - 1 gives (dv m - v dm) / m^2, and Q_B = N v / g - 1 with
+    g = m (N - m), dg = (N - 2m) dm, gives N (dv g - v dg) / g^2.
+    """
+    counts = np.asarray(counts, dtype=float)
+    n_bins, total = counts.size - 1, counts.sum()
+    f = counts / total
+    i = np.arange(counts.size)
+    mean = float(np.sum(i * f))
+    var = float(np.sum((i - mean) ** 2 * f))
+    d_mean = (i - mean) / total
+    d_var = ((i - mean) ** 2 - var) / total
+    if witness == "Q_F":
+        return (d_var * mean - var * d_mean) / mean**2
+    g = mean * (n_bins - mean)
+    return n_bins * (d_var * g - var * (n_bins - 2 * mean) * d_mean) / g**2
+
+
+def delta_method_std(counts, witness):
+    """Std of Q_B or Q_F under independent Poisson counts: sqrt(sum_i (dQ/dn_i)^2 n_i)."""
+    grad = click_witness_gradient(counts, witness)
+    return float(np.sqrt(np.sum(grad**2 * np.asarray(counts, dtype=float))))

@@ -472,9 +472,18 @@ def test_usage_errors_exit_two(capsys):
 
 @pytest.mark.parametrize("detector", ["ideal:1000000000000", "uniform:1000000000000,0.5,0.01"])
 def test_matrix_too_large_to_allocate(capsys, detector):
-    # 10^12 bins ask for terabytes: numpy refuses at once and allocates nothing.
+    # 10^12 bins ask for terabytes: refused before anything is allocated.
     err = run_fail(capsys, ["matrix", "--detector", detector, "--n-max", "3"], "invalid-argument")
-    assert "do not fit in memory" in err
+    assert "a 1000000000001 x 4 click law needs ~" in err and "the limits are 8e+07 and 1e+10" in err
+
+
+def test_matrix_beyond_the_cost_limits_fails_with_the_cost(capsys):
+    # 10^8 photon steps and 7.2 GB: refused at once instead of running for minutes.
+    err = run_fail(capsys, ["matrix", "--detector", "uniform:8,0.5", "--n-max", "100000000"], "invalid-argument")
+    assert err == (
+        "error: invalid-argument: a 9 x 100000001 click law needs ~7.2e+09 bytes and "
+        "~9e+08 multiply-adds; the limits are 8e+07 and 1e+10\n"
+    )
 
 
 def test_unreadable_input_and_unwritable_output_fail_cleanly(tmp_path, capsys):

@@ -22,6 +22,7 @@ from clickstats import (
     sample_counts,
     thermal_pn,
 )
+from clickstats import detector
 from clickstats.detector import JointClickDistribution
 from clickstats.inversion import CONDITION_LIMIT
 
@@ -197,6 +198,23 @@ def test_nonuniform_click_law_has_no_bin_cap():
     # Equal explicit weights take the chain itself.
     explicit = click_matrix(DetectorModel(64, tuple([1.0 / 64] * 64)), 128)
     assert np.array_equal(explicit, chain)
+
+
+def test_click_matrix_refuses_a_law_beyond_its_cost_limits_before_building_it(monkeypatch):
+    monkeypatch.setattr(detector, "_lit_bins", lambda det, n_max: pytest.fail("built a refused law"))
+    w = np.linspace(1.0, 2.0, 1000)
+    cases = [
+        # 9 x 10^8 floats, 7.2 GB, and ~10^8 photon steps of the uniform chain.
+        (DetectorModel(8, efficiency=0.5), 10**8, "~7.2e+09 bytes"),
+        # A small law, but ~N^2 n_max^2 = 10^12 multiply-adds of the bin-by-bin recurrence.
+        (DetectorModel(1000, tuple(w / w.sum()), 0.5), 1000, "~1e+12 multiply-adds"),
+        # A small law, but two 3001 x 3001 dark-click matrices.
+        (DetectorModel(3000, dark_click_prob=0.01), 3, "~1.4e+08 bytes"),
+    ]
+    for det, n_max, cost in cases:
+        with pytest.raises(InvalidArgumentError, match="the limits are 8e\\+07 and 1e\\+10") as info:
+            click_matrix(det, n_max)
+        assert cost in str(info.value)
 
 
 def test_efficiency_folding_equals_pre_thinning():

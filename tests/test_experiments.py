@@ -14,6 +14,7 @@ from clickstats import (
     forward_clicks,
     q_binomial,
     q_mandel,
+    q_mandel_from_clicks,
     run_catalysis_sweep,
     run_tmsv,
     thermal_pn,
@@ -166,6 +167,32 @@ def test_catalysis_sweep_point_consistency():
         for est in (point.q_b, point.q_f, point.q_m):
             assert est.std_error > 0
             assert est.n_replicas >= 2
+
+
+def test_inversion_route_truncation_gives_a_false_certificate_for_coherent_light():
+    # A documented limit, not a feature: Q_M from clicks assumes at most
+    # n_max = N = 8 photons arrive.  At efficiency 0.6 the default sweep's
+    # detected light has mass beyond 8, and the square inversion, whose
+    # residual is 0, folds it into 0..8 and biases Q_M downward.
+    config = CatalysisSweepConfig(signal_efficiency=0.6)
+    det = config.signal_detector()
+    for reflectivity, beyond, bias in ((0.0, 0.011671, -0.010322), (0.15, 0.028568, -0.045537)):
+        signal_pn, _ = catalysis_conditional_pn(config.alpha, reflectivity, config.herald_k)
+        detected = apply_loss(signal_pn, config.signal_efficiency)
+        assert detected.probs[9:].sum() == pytest.approx(beyond, rel=1e-4)
+        from_clicks = q_mandel_from_clicks(forward_clicks(signal_pn, det), det, 8)
+        assert from_clicks - q_mandel(detected) == pytest.approx(bias, rel=1e-4)
+    # At R = 0 the light is coherent (exact Q_M ~ 0), yet a 1e6-event
+    # record reads Q_M = -0.0127 +- 0.0020, over 6 sigma, while Q_B stays
+    # within 2 sigma of 0.
+    point = run_catalysis_sweep(
+        dataclasses.replace(config, reflectivities=(0.0,), expected_events=1e6, n_replicas=2000)
+    ).points[0]
+    assert abs(point.q_m_exact) < 1e-8
+    assert point.q_m.value == pytest.approx(-0.012734, rel=1e-4)
+    assert point.q_m.value < -6 * point.q_m.std_error
+    assert point.q_b.value == pytest.approx(-0.001856, rel=1e-3)
+    assert abs(point.q_b.value) < 2 * point.q_b.std_error
 
 
 def test_catalysis_sweep_reproducible():
