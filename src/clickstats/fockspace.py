@@ -117,12 +117,11 @@ def catalysis_conditional_pn(
         if herald_k <= n_a:
             weights[herald_k] = 1.0
     else:
-        L = click_matrix(herald_detector, n_a)
         if herald_k > herald_detector.n_bins:
             raise InvalidArgumentError(
                 f"herald_k={herald_k} exceeds the detector's {herald_detector.n_bins} bins"
             )
-        weights = L[herald_k]
+        weights = click_matrix(herald_detector, n_a)[herald_k]
     unnorm = weights @ joint
     prob = float(unnorm.sum())
     if prob < DEGENERATE_PROB:

@@ -482,7 +482,7 @@ def test_matrix_beyond_the_cost_limits_fails_with_the_cost(capsys):
     err = run_fail(capsys, ["matrix", "--detector", "uniform:8,0.5", "--n-max", "100000000"], "invalid-argument")
     assert err == (
         "error: invalid-argument: a 9 x 100000001 click law needs ~7.2e+09 bytes and "
-        "~9e+08 multiply-adds; the limits are 8e+07 and 1e+10\n"
+        "~1e+12 multiply-adds; the limits are 8e+07 and 1e+10\n"
     )
 
 

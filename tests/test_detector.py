@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +28,7 @@ from clickstats import (
 )
 from clickstats import detector
 from clickstats.detector import JointClickDistribution
+from clickstats.distributions import binomial_matrix
 from clickstats.inversion import CONDITION_LIMIT
 
 from oracles import click_matrix_exact, click_probs_by_enumeration
@@ -119,6 +124,9 @@ def test_nonuniform_matches_enumeration(weights):
         (40, None, 0.37, 0.0061),
         (5, (0.4, 0.25, 0.2, 0.1, 0.05), 0.8, 0.01),
         (12, (0.2, 0.15, 0.12, 0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03, 0.01), 0.9, 0.0),
+        (12, (0.2, 0.15, 0.12, 0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03, 0.01), 0.9, 0.02),
+        (5, (0.4, 0.25, 0.2, 0.1, 0.05), 0.8, 0.34),
+        (8, None, 0.55, 0.34),
     ],
 )
 def test_float_law_matches_exact_inclusion_exclusion(n_bins, weights, eta, dark):
@@ -208,13 +216,43 @@ def test_click_matrix_refuses_a_law_beyond_its_cost_limits_before_building_it(mo
         (DetectorModel(8, efficiency=0.5), 10**8, "~7.2e+09 bytes"),
         # A small law, but ~N^2 n_max^2 = 10^12 multiply-adds of the bin-by-bin recurrence.
         (DetectorModel(1000, tuple(w / w.sum()), 0.5), 1000, "~1e+12 multiply-adds"),
-        # A small law, but two 3001 x 3001 dark-click matrices.
-        (DetectorModel(3000, dark_click_prob=0.01), 3, "~1.4e+08 bytes"),
+        # A thin 32 MB law, but 2 x 10^6 Python-level steps of the uniform chain.
+        (DetectorModel(1), 2 * 10**6, "~2e+10 multiply-adds"),
     ]
     for det, n_max, cost in cases:
         with pytest.raises(InvalidArgumentError, match="the limits are 8e\\+07 and 1e\\+10") as info:
             click_matrix(det, n_max)
         assert cost in str(info.value)
+
+
+def test_wide_uniform_law_with_dark_clicks_builds_without_a_square_table():
+    # 3001 bins: an (N+1) x (N+1) table would take 72 MB; the law takes 96 kB.
+    tracemalloc.start()
+    try:
+        L = click_matrix(DetectorModel(3000, dark_click_prob=0.01), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L.shape == (3001, 4) and peak < 10**6
+    assert np.abs(L.sum(axis=0) - 1.0).max() < 1e-13
+    # The vacuum column is the Binomial(3000, 0.01) law of the dark clicks alone.
+    assert np.array_equal(L[:, 0], binomial_matrix(0.01, 3000)[:, 3000])
+    pmf = [float(math.comb(3000, k) * Fraction(1, 100) ** k * Fraction(99, 100) ** (3000 - k)) for k in range(40)]
+    assert np.allclose(L[:40, 0], pmf, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ([[0.5, float("nan")], [0.25, 0.25]], "must be finite"),
+        ([[0.75, -0.25], [0.25, 0.25]], "must be >= 0"),
+        ([[0.5, 0.5], [0.25, 0.25]], "sum to 1.5"),
+    ],
+)
+def test_joint_forward_clicks_rejects_a_bad_grid_before_building_laws(monkeypatch, grid, message):
+    monkeypatch.setattr(detector, "click_matrix", lambda det, n_max: pytest.fail("built a click law"))
+    with pytest.raises(InvalidArgumentError, match=f"joint photon-number probabilities {message}"):
+        joint_forward_clicks(np.array(grid), DetectorModel(2), DetectorModel(2))
 
 
 def test_efficiency_folding_equals_pre_thinning():

@@ -21,6 +21,7 @@ from clickstats import (
     q_mandel,
     thermal_pn,
 )
+from clickstats import fockspace
 from clickstats.detector import DEGENERATE_PROB
 from clickstats.distributions import binomial_matrix
 from clickstats.fockspace import _coherent_amplitudes
@@ -215,6 +216,12 @@ def test_catalysis_rejects_bad_herald_k():
         catalysis_conditional_pn(1.0, 0.5, -1)
     with pytest.raises(InvalidArgumentError, match="herald_k"):
         catalysis_conditional_pn(1.0, 0.5, 2.5)
+
+
+def test_catalysis_rejects_a_click_herald_beyond_the_bins_before_building_its_law(monkeypatch):
+    monkeypatch.setattr(fockspace, "click_matrix", lambda det, n_max: pytest.fail("built a click law"))
+    with pytest.raises(InvalidArgumentError, match="herald_k=5 exceeds the detector's 4 bins"):
+        catalysis_conditional_pn(1.0, 0.5, 5, herald_detector=DetectorModel(4, efficiency=0.5))
 
 
 def test_catalysis_rejects_out_of_range_alpha_and_reflectivity():
