@@ -60,16 +60,10 @@ def _cmd_matrix(args) -> int:
     det = _require_detector(args.detector)
     L = click_matrix(det, args.n_max)
     if args.format == "json":
-        payload = {
-            "schema_version": cio.SCHEMA_VERSION,
-            "kind": "click_matrix",
-            "detector": dataclasses.asdict(det),
-            "n_max": args.n_max,
-            "matrix": [[float(x) for x in row] for row in L],
-        }
-        _write_output(args, cio.to_json(payload))
+        text = cio.to_json(cio.envelope("click_matrix", detector=det, n_max=args.n_max, matrix=L))
     else:
-        _write_output(args, cio.matrix_to_csv(L))
+        text = cio.matrix_to_csv(L)
+    _write_output(args, text)
     return 0
 
 
@@ -100,12 +94,11 @@ def _cmd_witness(args) -> int:
         det = _require_detector(args.detector)
         n_max = args.n_max if args.n_max is not None else det.n_bins
         rows = q_mandel_rows(det, n_max, data.n_bins)
-    payload = {"schema_version": cio.SCHEMA_VERSION, "kind": "witness", "witness": args.witness}
     if isinstance(data, CountRecord):
-        payload.update(cio.estimate_to_dict(poisson_bootstrap(data, rows, args.replicas, args.seed)))
+        body = cio.to_plain(poisson_bootstrap(data, rows, args.replicas, args.seed))
     else:
-        payload["value"] = one_row(rows, data.probs, rows.why)
-    _write_output(args, cio.to_json(payload))
+        body = {"value": one_row(rows, data.probs, rows.why)}
+    _write_output(args, cio.to_json(cio.envelope("witness", witness=args.witness, **body)))
     return 0
 
 
@@ -123,19 +116,11 @@ def _cmd_invert(args) -> int:
     det = _require_detector(args.detector)
     result = invert_clicks(clicks, det, args.n_max, method=args.method)
     if args.format == "csv":
-        dist = result.distribution()
-        _write_output(args, cio.photon_distribution_to_csv(dist))
-        return 0
-    payload = {
-        "schema_version": cio.SCHEMA_VERSION,
-        "kind": "inversion",
-        "method": result.method,
-        "probs": [float(x) for x in result.probs],
-        "residual_norm": result.residual_norm,
-        "condition_number": result.condition_number,
-        "negative_mass": result.negative_mass,
-    }
-    _write_output(args, cio.to_json(payload))
+        text = cio.photon_distribution_to_csv(result.distribution())
+    else:
+        payload = cio.envelope("inversion", **cio.to_plain(result), negative_mass=result.negative_mass)
+        text = cio.to_json(payload)
+    _write_output(args, text)
     return 0
 
 
@@ -212,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--input", help="photon distribution CSV (n,probability)")
     p.add_argument("--n-max", type=int, default=None, help="cutoff for --source")
     p.add_argument("--detector", required=True)
-    _add_output_options(p)
+    p.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
     p.set_defaults(func=_cmd_forward)
 
     p = sub.add_parser("witness", help="score a click CSV with a witness")
@@ -223,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=10_000, help="bootstrap size for counts input")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=_cmd_witness, format="json")
+    p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("invert", help="recover photon statistics from clicks")
     p.add_argument("--input", required=True, help="clicks CSV (probabilities or counts)")

@@ -178,10 +178,10 @@ def _lit_bins(det: DetectorModel, n_max: int) -> np.ndarray:
     lit[0, 0] = 1.0
     if det.is_uniform:
         # Column 0 is Binomial(N, d), the bins lit in the dark, by Pascal's
-        # rule as in ``binomial_matrix``.  With i bins lit, by photons or
-        # not, a photon keeps i with probability (1 - eta) + eta i/N and
-        # lights a new bin with eta (N - i)/N.
-        for _ in range(N):
+        # rule as in ``binomial_matrix``; at d = 0 it is the start column
+        # already.  With i bins lit, by photons or not, a photon keeps i with
+        # probability (1 - eta) + eta i/N and lights a new bin with eta (N - i)/N.
+        for _ in range(N if d else 0):
             lit[1:, 0] = (1.0 - d) * lit[1:, 0] + d * lit[:-1, 0]
             lit[0, 0] *= 1.0 - d
         i = np.arange(N + 1)
@@ -224,12 +224,12 @@ def click_matrix(det: DetectorModel, n_max: int) -> np.ndarray:
     N, cols = det.n_bins, n_max + 1
     # Floats: the law, and a non-uniform bin's Pascal table.  Work counts
     # multiply-adds of the bin-by-bin products, N^2 n_max^2 in all.  Each
-    # Python-level step (N dark and n_max photon steps for uniform bins, n_max
-    # Pascal columns and a product per unequal bin) is priced at 10^4 of them,
-    # and each entry of a uniform step at 30: on 2 CPUs the products ran at
-    # 3.4e9/s (N = 128), a step took ~3 us and an entry 3-11 ns.
+    # Python-level step (n_max photon steps for uniform bins, and N dark ones
+    # if d > 0; n_max Pascal columns and a product per unequal bin) is priced
+    # at 10^4 of them, and each entry of a uniform step at 30: on 2 CPUs the
+    # products ran at 3.4e9/s (N = 128), a step took ~3 us and an entry 3-11 ns.
     floats = (N + 1) * cols + (0 if det.is_uniform else cols * cols)
-    steps = N + n_max if det.is_uniform else N * cols
+    steps = (N if det.dark_click_prob else 0) + n_max if det.is_uniform else N * cols
     work = (30 * (N + 1) * steps if det.is_uniform else N * N * cols * cols) + 10_000 * steps
     if 8 * floats > MAX_LAW_BYTES or work > MAX_LAW_MULTIPLY_ADDS:
         raise InvalidArgumentError(  # min(): an int beyond float range cannot be formatted

@@ -7,9 +7,10 @@ Three small CSV dialects, distinguished by their exact header:
 - ``clicks,count``: a raw count record (non-negative integers).
 
 Floats are written with ``repr``, so reading a file back reproduces the
-exact binary values.  JSON results carry a ``schema_version`` and are
-serialized with sorted keys and no timestamps: the same run with the same
-seed produces byte-identical output.
+exact binary values.  Every JSON result is one ``envelope``: a
+``schema_version``, a ``kind`` and the result's fields as plain data
+(``to_plain``), serialized with sorted keys and no timestamps, so the same
+run with the same seed produces byte-identical output.
 
 Config files for the experiment subcommands are flat ``key = value`` lines
 with ``#`` comments.  The keys are the fields of the config dataclass, and
@@ -23,7 +24,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,9 +33,8 @@ from .detector import ClickDistribution, CountRecord, DetectorModel
 from .distributions import PhotonDistribution, coherent_pn, fock_pn, thermal_pn
 from .errors import InvalidArgumentError
 
-if TYPE_CHECKING:  # the experiment and witness modules load only where used
+if TYPE_CHECKING:  # the experiment module loads only where used
     from .experiments import CatalysisSweepConfig, CatalysisSweepResult, TmsvConfig, TmsvResult
-    from .witnesses import WitnessEstimate
 
 SCHEMA_VERSION = 1
 
@@ -235,42 +235,32 @@ def catalysis_config_from_dict(raw: dict[str, str]) -> CatalysisSweepConfig:
     return _config_from_dict(raw, CatalysisSweepConfig, "catalysis")
 
 
-def estimate_to_dict(e: WitnessEstimate | None):
-    """An estimate for JSON: every field but the replica ``samples``."""
-    if e is None:
-        return None
-    return {f.name: getattr(e, f.name) for f in fields(e) if f.name != "samples"}
+def to_plain(value):
+    """``value`` as plain JSON data: a dataclass becomes the dict of its
+    fields, a ``CountRecord`` its counts, an array or tuple a list.  A
+    ``WitnessEstimate`` keeps every field but its replica ``samples``."""
+    if value is None or isinstance(value, (float, int, str)):
+        return value
+    if isinstance(value, CountRecord):
+        return list(value.counts)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [to_plain(v) for v in value]
+    return {f.name: to_plain(getattr(value, f.name)) for f in fields(value) if f.name != "samples"}
 
 
-def _row_to_dict(row) -> dict:
-    """A result row for JSON: a record becomes its counts, an estimate its
-    dict; the base type of each field's annotation says which is which."""
-    out = {}
-    for f in fields(row):
-        value, kind = getattr(row, f.name), f.type.partition(" | ")[0]
-        if kind == "CountRecord" and value is not None:
-            value = list(value.counts)
-        elif kind == "WitnessEstimate":
-            value = estimate_to_dict(value)
-        out[f.name] = value
-    return out
-
-
-def _result_to_dict(result, kind: str, rows: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "config": asdict(result.config),
-        rows: [_row_to_dict(row) for row in getattr(result, rows)],
-    }
+def envelope(kind: str, **body) -> dict:
+    """A JSON result: ``body`` as plain data, stamped with the schema version and ``kind``."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **{k: to_plain(v) for k, v in body.items()}}
 
 
 def tmsv_result_to_dict(result: TmsvResult) -> dict:
-    return _result_to_dict(result, "tmsv", "rows")
+    return envelope("tmsv", config=result.config, rows=result.rows)
 
 
 def catalysis_result_to_dict(result: CatalysisSweepResult) -> dict:
-    return _result_to_dict(result, "catalysis_sweep", "points")
+    return envelope("catalysis_sweep", config=result.config, points=result.points)
 
 
 def to_json(obj: dict) -> str:

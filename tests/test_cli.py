@@ -26,9 +26,9 @@ from clickstats.cli import main
 from clickstats.io import (
     click_distribution_to_csv,
     count_record_to_csv,
-    estimate_to_dict,
     photon_distribution_to_csv,
     to_json,
+    to_plain,
 )
 from clickstats.detector import sample_counts
 
@@ -250,7 +250,7 @@ def test_witness_q_mandel_on_counts_is_the_library_bootstrap(tmp_path, capsys):
     argv = ["witness", "--input", str(path), "--witness", "Q_M", "--detector", "uniform:8,0.6"]
     out = run_ok(capsys, [*argv, "--replicas", "300", "--seed", "6"])
     est = mc_q_mandel_from_clicks(record, det, 8, n_replicas=300, seed=6)
-    assert out == to_json({"schema_version": 1, "kind": "witness", "witness": "Q_M", **estimate_to_dict(est)})
+    assert out == to_json({"schema_version": 1, "kind": "witness", "witness": "Q_M", **to_plain(est)})
 
 
 def test_witness_q_mandel_requires_detector(tmp_path, capsys):
@@ -461,12 +461,15 @@ def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["no-such-command"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["witness"])  # missing required --input
-    assert info.value.code == 2
+    for argv in (
+        ["no-such-command"],
+        ["witness"],  # missing required --input
+        # forward writes a click CSV only; a --format it would ignore is refused.
+        ["forward", "--source", "coherent:1", "--detector", "ideal:2", "--format", "json"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -500,7 +503,7 @@ def test_unreadable_input_and_unwritable_output_fail_cleanly(tmp_path, capsys):
 #: Subcommand -> (required flags, each a choice of alternatives; optional flags).
 _FUZZ_FLAGS = {
     "matrix": ((("--detector",), ("--n-max",)), ("--format", "--output")),
-    "forward": ((("--source", "--input"), ("--detector",)), ("--n-max", "--format", "--output")),
+    "forward": ((("--source", "--input"), ("--detector",)), ("--n-max", "--output")),
     "witness": ((("--input",),), ("--witness", "--detector", "--n-max", "--replicas", "--seed", "--output")),
     "invert": ((("--input",), ("--detector",), ("--n-max",)), ("--method", "--format", "--output")),
     "sample": ((("--source", "--input"), ("--events",)), ("--detector", "--n-max", "--seed", "--output")),
@@ -580,3 +583,52 @@ def test_fuzzed_argv_never_ends_in_a_traceback(fuzz_dir, argv):
         assert len(lines) == 1 and re.match(r"error: [a-z-]+: ", lines[0]), (argv, lines)
     else:
         assert code == 0, argv
+
+
+#: Byte goldens of the CLI's own JSON (the experiment writers are pinned in
+#: ``test_golden.py``): golden file name -> argv, run in a directory that
+#: holds ``CLI_INPUTS``.  Rewrite them with ``PYTHONPATH=src python tests/test_cli.py``.
+CLI_GOLDENS = {
+    "cli_matrix.json": ["matrix", "--detector", "uniform:4,0.5,0.02", "--n-max", "6", "--format", "json"],
+    "cli_witness_probs.json": ["witness", "--input", "probs.csv"],
+    "cli_witness_counts.json": ["witness", "--input", "counts.csv", "--replicas", "200", "--seed", "1"],
+    "cli_witness_counts_q_m.json": ["witness", "--input", "counts.csv", "--witness", "Q_M",
+                                    "--detector", "uniform:4,0.6", "--replicas", "200", "--seed", "1"],
+    "cli_invert.json": ["invert", "--input", "probs.csv", "--detector", "uniform:4,0.6", "--n-max", "4"],
+    "cli_invert_pseudo_inverse.json": ["invert", "--input", "probs.csv", "--detector", "uniform:4,0.6",
+                                       "--n-max", "4", "--method", "pseudo_inverse"],
+}
+
+CLI_INPUTS = {
+    "probs.csv": "clicks,probability\n0,0.55\n1,0.3\n2,0.1\n3,0.04\n4,0.01\n",
+    "counts.csv": "clicks,count\n0,550\n1,300\n2,100\n3,40\n4,10\n",
+}
+
+
+def cli_golden_text(name: str, workdir: Path) -> str:
+    for file, text in CLI_INPUTS.items():
+        (workdir / file).write_text(text)
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with redirect_stdout(out):
+            assert main(CLI_GOLDENS[name]) == 0
+    finally:
+        os.chdir(cwd)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_cli_json_matches_golden(tmp_path, name):
+    golden = Path(__file__).parent / "golden" / name
+    assert cli_golden_text(name, tmp_path).encode() == golden.read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for name in CLI_GOLDENS:
+        with tempfile.TemporaryDirectory() as workdir:
+            text = cli_golden_text(name, Path(workdir))
+        (Path(__file__).parent / "golden" / name).write_bytes(text.encode())

@@ -241,6 +241,16 @@ def test_wide_uniform_law_with_dark_clicks_builds_without_a_square_table():
     assert np.allclose(L[:40, 0], pmf, rtol=1e-12, atol=0)
 
 
+def test_wide_ideal_law_runs_no_dark_steps():
+    # 20,000 bins without dark clicks: the N dark Pascal steps would leave the
+    # start column as it is, so they are neither run nor charged to the cost.
+    N = 20_000
+    L = click_matrix(DetectorModel.ideal(N), 3)
+    closed_forms = [(1, 2, 1 / N), (2, 2, 1 - 1 / N), (3, 3, (N - 1) * (N - 2) / N**2)]
+    for i, n, expected in closed_forms:
+        assert abs(L[i, n] - expected) <= 1e-13 * expected, (i, n)
+
+
 @pytest.mark.parametrize(
     "grid,message",
     [

@@ -29,6 +29,7 @@ from clickstats.io import (
     click_distribution_to_csv,
     count_record_from_csv,
     count_record_to_csv,
+    envelope,
     matrix_to_csv,
     parse_config,
     parse_detector_spec,
@@ -40,6 +41,7 @@ from clickstats.io import (
     tmsv_result_to_csv,
     tmsv_result_to_dict,
     to_json,
+    to_plain,
 )
 
 
@@ -368,3 +370,15 @@ def test_to_json_refuses_non_finite_numbers():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidArgumentError):
             to_json({"value": bad})
+
+
+def test_to_plain_and_envelope():
+    from clickstats.witnesses import WitnessEstimate
+
+    det = DetectorModel(2, bin_weights=(0.25, 0.75), efficiency=0.5)
+    assert to_plain(det) == {"n_bins": 2, "bin_weights": [0.25, 0.75], "efficiency": 0.5, "dark_click_prob": 0.0}
+    assert to_plain(CountRecord((3, 1))) == [3, 1]
+    assert to_plain(np.eye(2)) == [[1.0, 0.0], [0.0, 1.0]]
+    estimate = WitnessEstimate(-0.5, 0.1, 3, 0.25, np.array([-0.4, -0.5, -0.6]))
+    assert to_plain(estimate) == {"value": -0.5, "std_error": 0.1, "n_replicas": 3, "dropped_fraction": 0.25}
+    assert envelope("x", a=(det, None)) == {"schema_version": 1, "kind": "x", "a": [to_plain(det), None]}
