@@ -20,11 +20,13 @@ Conventions:
 The click law (Sperling, Vogel & Agarwal, PRA 85, 023820 (2012)) is built
 by recurrence: for uniform weights one photon at a time, as a Markov chain
 over the number of lit bins that starts from the Binomial(N, d) law of the
-bins lit in the dark; otherwise one bin at a time, over the number of bins
-lit so far, at O(N^2 n_max^2) cost, each bin lighting in the dark when it
-takes no photon.  Every term of both recurrences is non-negative, so
-nothing cancels: entries that are zero come out exactly zero, no entry is
-negative, and columns sum to 1 to within accumulated rounding (< 1e-13).
+bins lit in the dark, built row-major (one contiguous row per photon
+number, transposed once at the end); otherwise one bin at a time, over
+the number of bins lit so far, at O(N^2 n_max^2) cost, each bin lighting
+in the dark when it takes no photon.  Every term of both recurrences is
+non-negative, so nothing cancels: entries that are zero come out exactly
+zero, no entry is negative, and columns sum to 1 to within accumulated
+rounding (< 1e-13).
 The textbook inclusion-exclusion sum, by contrast, alternates with large
 binomial weights and loses nine digits in floating point at N=32.
 """
@@ -170,27 +172,32 @@ class CountRecord:
 def _lit_bins(det: DetectorModel, n_max: int) -> np.ndarray:
     """P(i bins lit | n photons), a bin being lit by a photon or a dark click.
 
-    Uniform bins add one photon at a time; other weights add one bin at a
-    time, O(N^2 n_max^2).
+    Uniform bins add one photon at a time, row-major, and the result is
+    transposed once (briefly two copies of the law); other weights add one
+    bin at a time, O(N^2 n_max^2).
     """
     N, eta, d = det.n_bins, det.efficiency, det.dark_click_prob
-    lit = np.zeros((N + 1, n_max + 1))
-    lit[0, 0] = 1.0
     if det.is_uniform:
-        # Column 0 is Binomial(N, d), the bins lit in the dark, by Pascal's
-        # rule as in ``binomial_matrix``; at d = 0 it is the start column
-        # already.  With i bins lit, by photons or not, a photon keeps i with
-        # probability (1 - eta) + eta i/N and lights a new bin with eta (N - i)/N.
+        # Row-major: T[n] = lit[:, n], so each photon step reads and writes
+        # contiguous rows.  T[0] is Binomial(N, d), the bins lit in the dark,
+        # by Pascal's rule as in ``binomial_matrix``; at d = 0 it is the start
+        # row already.  With i bins lit, by photons or not, a photon keeps i
+        # with probability (1 - eta) + eta i/N and lights a new bin with
+        # eta (N - i)/N.
+        T = np.zeros((n_max + 1, N + 1))
+        T[0, 0] = 1.0
         for _ in range(N if d else 0):
-            lit[1:, 0] = (1.0 - d) * lit[1:, 0] + d * lit[:-1, 0]
-            lit[0, 0] *= 1.0 - d
+            T[0, 1:] = (1.0 - d) * T[0, 1:] + d * T[0, :-1]
+            T[0, 0] *= 1.0 - d
         i = np.arange(N + 1)
         stay = (1.0 - eta) + eta * i / N
         move = eta * (N - i[:-1]) / N
         for n in range(1, n_max + 1):
-            lit[:, n] = stay * lit[:, n - 1]
-            lit[1:, n] += move * lit[:-1, n - 1]
-        return lit
+            T[n] = stay * T[n - 1]
+            T[n, 1:] += move * T[n - 1, :-1]
+        return np.ascontiguousarray(T.T)
+    lit = np.zeros((N + 1, n_max + 1))
+    lit[0, 0] = 1.0
     # Bin by bin: lit[i, n] sums the weight of every placement of n photons
     # over the loss channel and the bins added so far that lights i of them.
     # A new bin b takes n - k of the n photons with weight

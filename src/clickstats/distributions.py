@@ -179,13 +179,15 @@ def binomial_matrix(prob: float, m_max: int) -> np.ndarray:
     """B[k, m] = C(m, k) prob^k (1 - prob)^(m - k) for 0 <= k, m <= m_max.
 
     Built column by column with Pascal's rule: every term is non-negative,
-    and prob = 0 or 1 is exact.  The returned array is read-only and cached.
+    and prob = 0 or 1 is exact.  Each column is a contiguous row of the
+    transpose while it is built.  The returned array is read-only and cached.
     """
-    B = np.zeros((m_max + 1, m_max + 1))
-    B[0, 0] = 1.0
+    T = np.zeros((m_max + 1, m_max + 1))
+    T[0, 0] = 1.0
     for m in range(1, m_max + 1):
-        B[:, m] = (1.0 - prob) * B[:, m - 1]
-        B[1:, m] += prob * B[:-1, m - 1]
+        T[m] = (1.0 - prob) * T[m - 1]
+        T[m, 1:] += prob * T[m - 1, :-1]
+    B = np.ascontiguousarray(T.T)
     B.flags.writeable = False
     return B
 

@@ -22,6 +22,8 @@ be divided out.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,6 +45,58 @@ _NEGATIVE_MASS_ATOL = 1e-9
 
 #: ``lstsq_simplex``'s tolerance on negative entries, the sum, KKT multipliers and progress.
 _TOL = 1e-12
+
+
+class _PinvCache:
+    """Reduced pseudo-inverses ``pinv(A[:, rest] - A[:, [last]])``, by law content and pinned mask.
+
+    A law is keyed by its shape and bytes, never its identity, so an array
+    edited in place is a new law.  The cached arrays and their keys take at
+    most ``max_bytes``; the least recently used go first.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes, self.nbytes = max_bytes, 0
+        self._entries: OrderedDict = OrderedDict()  # (law, mask bytes) -> (rest, last, pinv, bytes)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+    def law(self, A: np.ndarray) -> tuple | None:
+        """A's key, or ``None`` (nothing cached) for a law too large to keep."""
+        return (A.shape, A.tobytes()) if A.nbytes <= self.max_bytes else None
+
+    def get(self, law: tuple | None, A: np.ndarray, mask: np.ndarray) -> tuple:
+        """(rest, last, pinv) for the free coordinates of ``mask``, ``last`` the eliminated one."""
+        key = law, mask.tobytes()
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit[:3]
+        free = np.flatnonzero(~mask)
+        rest, last = free[:-1], free[-1]
+        pinv = np.linalg.pinv(A[:, rest] - A[:, [last]])
+        if law is None:
+            return rest, last, pinv
+        size = pinv.nbytes + free.nbytes + len(key[1]) + len(law[1])
+        with self._lock:
+            if size <= self.max_bytes and key not in self._entries:
+                while self.nbytes + size > self.max_bytes:
+                    self.nbytes -= self._entries.popitem(last=False)[1][3]
+                self._entries[key] = rest, last, pinv, size
+                self.nbytes += size
+        return rest, last, pinv
+
+
+#: One factorisation per support, shared by every row, iteration and call on the same law.
+_PINVS = _PinvCache(max_bytes=1 << 22)
 
 
 def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
@@ -69,12 +123,21 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
     solution heads straight back below zero) is barred from release until
     the objective next improves, which rules out cycling on degenerate
     data.  All rows iterate together: each step groups the unfinished rows
-    by their active set, and rows that share one share its pseudo-inverse.
-    Each row follows the iteration it would follow alone, for at most
-    ``max_iter`` steps.
+    by their active set (no grouping when they all share one).  Each row
+    follows the iteration it would follow alone, for at most ``max_iter``
+    steps.
+
+    One factorisation per support serves every row, every iteration and
+    every later call on the same law: the pseudo-inverses come from a cache
+    keyed by A's content (shape and bytes) and the pinned coordinates, and
+    bounded at 4 MiB.  It is filled only once a row enters the active set,
+    so a batch that the LU solve finishes neither reads A's bytes nor
+    caches anything.  A cached and a fresh factorisation are the same
+    bits, so results never depend on what was solved before.
 
     Raises:
-        InvalidArgumentError: mismatched shapes, or a NaN or inf in A or b.
+        InvalidArgumentError: mismatched shapes, a NaN or inf in A or b, or
+            ``max_iter`` not an integer >= 0.
         SolverNotConvergedError: some row still fails the KKT conditions
             after ``max_iter`` steps.
     """
@@ -87,10 +150,10 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
     single = B.ndim == 1
     B = np.atleast_2d(B)
     rows, dim = B.shape[0], A.shape[1]
-    if max_iter is None:
-        max_iter = 100 * dim + 100
+    max_iter = 100 * dim + 100 if max_iter is None else check_count(max_iter, "max_iter")
 
-    P = np.full((rows, dim), 1.0 / dim)
+    # Each row's solution lands in P when the row finishes.
+    P = np.empty((rows, dim))
     pending = np.arange(rows)
     if A.shape[0] == dim:
         # A row whose exact solution lies on the simplex has objective 0, the
@@ -101,68 +164,93 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
             pass  # singular: every row goes to the active set
         else:
             done = (X >= -_TOL).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= dim * _TOL)
+            # C order: X is a transposed view, and the callers' row sums
+            # round differently over F-ordered rows.
+            P = np.clip(X, 0.0, None, order="C")
             if done.all():
-                # C order, as P would be: X is a transposed view, and the
-                # callers' row sums round differently over F-ordered rows.
-                X = np.clip(X, 0.0, None, order="C")
-                return X[0] if single else X
-            P[done] = np.clip(X[done], 0.0, None)
+                return P[0] if single else P
             pending = np.flatnonzero(~done)
-    active = np.zeros((rows, dim), dtype=bool)
-    tabu = np.zeros((rows, dim), dtype=bool)
-    best = np.full(rows, np.inf)
+    # The unfinished rows' right-hand sides, iterates (from the simplex
+    # centre), pinned and barred coordinates and best objectives, compacted
+    # in pending order.
+    B, Pp = B[pending], np.full((pending.size, dim), 1.0 / dim)
+    active = np.zeros((pending.size, dim), dtype=bool)
+    tabu = np.zeros((pending.size, dim), dtype=bool)
+    best = np.full(pending.size, np.inf)
+    law = _PINVS.law(A) if pending.size else None
     for _ in range(max_iter):
         if not pending.size:
             break
         # Solve the sum-constrained least squares on the free coordinates,
         # once per distinct active set.
-        pinned = active[pending]
         X = np.zeros((pending.size, dim))
-        packed = np.packbits(pinned, axis=1)
-        keys = packed.view(f"V{packed.shape[1]}").ravel()  # sorts far faster than unique(axis=0)
-        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        for g, mask in enumerate(pinned[first]):
-            members = np.flatnonzero(group == g)
-            *rest, last = np.flatnonzero(~mask)
-            y = np.linalg.pinv(A[:, rest] - A[:, [last]]) @ (B[pending[members]] - A[:, last]).T
-            X[np.ix_(members, rest)] = y.T
-            X[members, last] = 1.0 - y.sum(axis=0)
+        if pending.size == 1 or (active == active[0]).all():
+            rest, last, pinv = _PINVS.get(law, A, active[0])
+            y = pinv @ (B - A[:, last]).T
+            X[:, rest] = y.T
+            X[:, last] = 1.0 - y.sum(axis=0)
+        else:
+            packed = np.packbits(active, axis=1)
+            keys = packed.view(f"V{packed.shape[1]}").ravel()  # sorts far faster than unique(axis=0)
+            _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+            for g, mask in enumerate(active[first]):
+                members = np.flatnonzero(group == g)
+                rest, last, pinv = _PINVS.get(law, A, mask)
+                y = pinv @ (B[members] - A[:, last]).T
+                X[np.ix_(members, rest)] = y.T
+                X[members, last] = 1.0 - y.sum(axis=0)
         feasible = (X >= -_TOL).all(axis=1)
+        n_feasible = np.count_nonzero(feasible)
+        # A branch with every row takes them as a slice, without copies; one
+        # with none is skipped.  Each carries over the rows that go on.
+        carried = []
 
         # Feasible rows move to their solution, then release the pinned
         # coordinate whose KKT multiplier is most negative.
-        rows_f = pending[feasible]
-        x = np.clip(X[feasible], 0.0, None)
-        P[rows_f] = x
-        residual = x @ A.T - B[rows_f]
-        value = 0.5 * np.sum(residual**2, axis=1)
-        improved = value < best[rows_f] - _TOL
-        best[rows_f[improved]] = value[improved]
-        tabu[rows_f[improved]] = False
-        grad = residual @ A
-        multiplier = grad - np.sum(x * grad, axis=1, keepdims=True)
-        candidates = active[rows_f] & ~tabu[rows_f] & (multiplier < -_TOL)
-        releasing = candidates.any(axis=1)
-        release = np.argmin(np.where(candidates, multiplier, np.inf), axis=1)[releasing]
-        active[rows_f[releasing], release] = False
-        tabu[rows_f[releasing], release] = True
+        if n_feasible:
+            f = slice(None) if n_feasible == pending.size else feasible
+            x = np.clip(X[f], 0.0, None)
+            P[pending[f]] = x
+            residual = x @ A.T - B[f]
+            value = 0.5 * np.sum(residual**2, axis=1)
+            improved = value < best[f] - _TOL
+            best_f = np.where(improved, value, best[f])
+            tabu_f = tabu[f] & ~improved[:, None]
+            grad = residual @ A
+            multiplier = grad - np.sum(x * grad, axis=1, keepdims=True)
+            active_f = active[f]
+            candidates = active_f & ~tabu_f & (multiplier < -_TOL)
+            releasing = np.flatnonzero(candidates.any(axis=1))
+            release = np.argmin(np.where(candidates, multiplier, np.inf), axis=1)[releasing]
+            at_release = np.arange(releasing.size), release
+            active_f = active_f[releasing]
+            active_f[at_release] = False
+            tabu_f = tabu_f[releasing]
+            tabu_f[at_release] = True
+            carried.append((pending[f][releasing], B[f][releasing], x[releasing], active_f, tabu_f, best_f[releasing]))
 
         # Infeasible rows step toward their solution until the first free
         # coordinate hits zero, and pin that coordinate.
-        rows_i = pending[~feasible]
-        x, p = X[~feasible], P[rows_i]
-        step = x - p
-        shrinking = (step < 0) & (x < 0)  # x is 0 where pinned
-        ratios = np.divide(p, -step, out=np.full_like(p, np.inf), where=shrinking)
-        block = np.argmin(ratios, axis=1)
-        alpha = np.minimum(1.0, ratios[np.arange(rows_i.size), block])
-        moved = alpha > 0.0
-        p[moved] = np.clip(p[moved] + alpha[moved, None] * step[moved], 0.0, None)
-        tabu[rows_i[moved]] = False
-        p[np.arange(rows_i.size), block] = 0.0
-        P[rows_i] = p
-        active[rows_i, block] = True
-        pending = np.concatenate([rows_f[releasing], rows_i])
+        if n_feasible < pending.size:
+            i = ~feasible if n_feasible else slice(None)
+            x, p, active_i, tabu_i = X[i], Pp[i], active[i], tabu[i]
+            step = x - p
+            shrinking = (step < 0) & (x < 0)  # x is 0 where pinned
+            ratios = np.divide(p, -step, out=np.full_like(p, np.inf), where=shrinking)
+            block = np.argmin(ratios, axis=1)
+            at_block = np.arange(block.size), block
+            alpha = np.minimum(1.0, ratios[at_block])
+            moved = alpha > 0.0
+            moved = slice(None) if moved.all() else moved
+            p[moved] = np.clip(p[moved] + alpha[moved, None] * step[moved], 0.0, None)
+            tabu_i[moved] = False
+            p[at_block] = 0.0
+            active_i[at_block] = True
+            carried.append((pending[i], B[i], p, active_i, tabu_i, best[i]))
+        if len(carried) == 1:
+            pending, B, Pp, active, tabu, best = carried[0]
+        else:
+            pending, B, Pp, active, tabu, best = (np.concatenate(parts) for parts in zip(*carried))
     if pending.size:
         raise SolverNotConvergedError(
             f"simplex least-squares did not converge in {max_iter} iterations "

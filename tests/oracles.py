@@ -7,7 +7,10 @@ matrix exponential of its generator and by exact binomial expansion sector
 by sector, the constrained least squares by exhaustive support
 enumeration, square linear systems and the constrained least squares on
 a given support by exact rational elimination.  Slow and simple on
-purpose.
+purpose.  The exception is the column walks (``binomial_by_columns``,
+``uniform_click_matrix_by_columns``): the library's own Pascal and photon
+recurrences in the strided column order they were first written in, so
+that the row-major builds that replaced them can be held to the same bits.
 """
 
 import itertools
@@ -118,6 +121,38 @@ def click_matrix_exact(n_bins, bin_weights, efficiency, dark_click_prob, n_max):
             )
             L[i, n] = numerator / denominator  # big-int division rounds correctly
     return L
+
+
+def binomial_by_columns(prob, m_max):
+    """B[k, m] = C(m, k) prob^k (1 - prob)^(m - k) by Pascal's rule, one column of B at a time."""
+    B = np.zeros((m_max + 1, m_max + 1))
+    B[0, 0] = 1.0
+    for m in range(1, m_max + 1):
+        B[:, m] = (1.0 - prob) * B[:, m - 1]
+        B[1:, m] += prob * B[:-1, m - 1]
+    return B
+
+
+def uniform_click_matrix_by_columns(n_bins, efficiency, dark_click_prob, n_max):
+    """The uniform click law by the photon chain, one column (photon number) at a time.
+
+    Column 0 is the Binomial(N, d) law of the bins lit in the dark, by N
+    Pascal steps; each photon then keeps i lit bins with probability
+    (1 - eta) + eta i/N and lights a new one with eta (N - i)/N.
+    """
+    N, eta, d = n_bins, efficiency, dark_click_prob
+    lit = np.zeros((N + 1, n_max + 1))
+    lit[0, 0] = 1.0
+    for _ in range(N if d else 0):
+        lit[1:, 0] = (1.0 - d) * lit[1:, 0] + d * lit[:-1, 0]
+        lit[0, 0] *= 1.0 - d
+    i = np.arange(N + 1)
+    stay = (1.0 - eta) + eta * i / N
+    move = eta * (N - i[:-1]) / N
+    for n in range(1, n_max + 1):
+        lit[:, n] = stay * lit[:, n - 1]
+        lit[1:, n] += move * lit[:-1, n - 1]
+    return lit
 
 
 def beamsplitter_sector_by_expm(t, transmittance):

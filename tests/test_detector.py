@@ -31,7 +31,12 @@ from clickstats.detector import JointClickDistribution
 from clickstats.distributions import binomial_matrix
 from clickstats.inversion import CONDITION_LIMIT
 
-from oracles import click_matrix_exact, click_probs_by_enumeration
+from oracles import (
+    binomial_by_columns,
+    click_matrix_exact,
+    click_probs_by_enumeration,
+    uniform_click_matrix_by_columns,
+)
 
 
 def test_detector_model_validation():
@@ -239,6 +244,24 @@ def test_wide_uniform_law_with_dark_clicks_builds_without_a_square_table():
     assert np.array_equal(L[:, 0], binomial_matrix(0.01, 3000)[:, 3000])
     pmf = [float(math.comb(3000, k) * Fraction(1, 100) ** k * Fraction(99, 100) ** (3000 - k)) for k in range(40)]
     assert np.allclose(L[:40, 0], pmf, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "n_bins,n_max,eta,dark",
+    [(1, 4, 0.5, 0.0), (5, 0, 0.5, 0.1), (8, 8, 1.0, 0.0), (8, 8, 0.07, 0.01), (40, 80, 0.3, 0.005),
+     (128, 256, 0.62, 0.02), (3000, 3, 0.3, 0.01), (3000, 40, 1.0, 0.0)],
+)
+def test_row_major_uniform_chain_equals_the_column_walk(n_bins, n_max, eta, dark):
+    L = click_matrix(DetectorModel(n_bins, efficiency=eta, dark_click_prob=dark), n_max)
+    assert L.flags.c_contiguous
+    assert np.array_equal(L, uniform_click_matrix_by_columns(n_bins, eta, dark, n_max))
+
+
+@pytest.mark.parametrize("prob,m_max", [(0.0, 3), (1.0, 3), (0.3, 28), (0.07, 512)])
+def test_row_major_binomial_matrix_equals_the_column_walk(prob, m_max):
+    B = binomial_matrix(prob, m_max)
+    assert B.flags.c_contiguous
+    assert np.array_equal(B, binomial_by_columns(prob, m_max))
 
 
 def test_wide_ideal_law_runs_no_dark_steps():

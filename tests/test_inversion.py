@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,8 @@ from clickstats import (
     q_mandel_from_clicks,
     sample_counts,
 )
-from clickstats.inversion import _condition_number
+from clickstats import inversion
+from clickstats.inversion import _PINVS, _condition_number, _PinvCache
 from oracles import lstsq_simplex_by_enumeration, simplex_lstsq_on_support_exact, solve_exact
 
 
@@ -160,6 +164,25 @@ def test_square_solve_matches_exact_rational_solution():
     assert empty_tails >= 10 and infeasible >= 5
 
 
+def _active_set_records(L, n_records, rng):
+    """Poisson records of random photon laws through L that enter the active set.
+
+    A square L keeps the records whose direct solution leaves the simplex; a
+    tall one sends every record to the active set.
+    """
+    n_max = L.shape[1] - 1
+    records = []
+    while len(records) < n_records:
+        k = int(rng.integers(1, n_max + 1))
+        p = np.zeros(n_max + 1)
+        p[: k + 1] = rng.dirichlet(np.ones(k + 1))
+        counts = rng.poisson(10.0 ** rng.uniform(4, 7) * (L @ p))
+        freq = counts / counts.sum()
+        if L.shape[0] > L.shape[1] or (np.linalg.solve(L, freq) < -1e-12).any():
+            records.append(freq)
+    return np.array(records)
+
+
 def test_active_set_rows_match_the_exact_solution_on_their_support():
     # Noisy records through 8 bins at eta 0.4 (cond(L) 4.1e7) whose direct
     # solution leaves the simplex, then a tall law (n_max = 6) that sends
@@ -170,17 +193,9 @@ def test_active_set_rows_match_the_exact_solution_on_their_support():
     rng = np.random.default_rng(5)
     for n_max, n_records in ((8, 60), (6, 20)):
         L = click_matrix(det, n_max)
-        records = []
-        while len(records) < n_records:
-            k = int(rng.integers(1, n_max + 1))
-            p = np.zeros(n_max + 1)
-            p[: k + 1] = rng.dirichlet(np.ones(k + 1))
-            counts = rng.poisson(10.0 ** rng.uniform(4, 7) * (L @ p))
-            freq = counts / counts.sum()
-            if n_max < 8 or (np.linalg.solve(L, freq) < -1e-12).any():
-                records.append(freq)
+        records = _active_set_records(L, n_records, rng)
         bound = np.linalg.cond(L) * np.finfo(float).eps
-        for x, b in zip(lstsq_simplex(L, np.array(records)), records):
+        for x, b in zip(lstsq_simplex(L, records), records):
             exact = simplex_lstsq_on_support_exact(L, b, np.flatnonzero(x > 0))
             assert np.abs(x - [float(e) for e in exact]).max() <= bound
 
@@ -210,6 +225,103 @@ def test_lstsq_simplex_input_validation():
         for args in ((A_bad, b), (A, b_bad), (A, np.vstack([b, b_bad]))):
             with pytest.raises(InvalidArgumentError):
                 lstsq_simplex(*args)
+    for bad in (2.5, np.nan, -1):
+        with pytest.raises(InvalidArgumentError, match="max_iter"):
+            lstsq_simplex(A, b, max_iter=bad)
+
+
+@pytest.fixture
+def pinv_calls(monkeypatch):
+    """One entry per ``np.linalg.pinv`` call from here on."""
+    calls, pinv = [], np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kwargs: calls.append(args) or pinv(*args, **kwargs))
+    return calls
+
+
+def test_warm_support_cache_gives_the_cold_bits_without_factorising(pinv_calls):
+    # A cold batch factorises each support it meets once, however many rows
+    # and iterations use it; the same batch again, on an equal law in
+    # another array, factorises nothing and returns the same bits.
+    L = click_matrix(DetectorModel(8, efficiency=0.4), 8)
+    records = _active_set_records(L, 60, np.random.default_rng(5))
+    _PINVS.clear()
+    cold = lstsq_simplex(L, records)
+    assert len(pinv_calls) == len(_PINVS) >= 5
+    del pinv_calls[:]
+    warm = lstsq_simplex(np.array(L), records)
+    assert np.array_equal(warm, cold) and not pinv_calls
+
+
+def test_a_batch_the_lu_solve_finishes_leaves_the_support_cache_alone(monkeypatch):
+    L = click_matrix(DetectorModel(8, efficiency=0.9, dark_click_prob=0.01), 8)
+    B = np.random.default_rng(29).dirichlet(np.ones(9), size=50) @ L.T
+    monkeypatch.setattr(_PINVS, "law", lambda A: pytest.fail("the law was keyed"))
+    lstsq_simplex(L, B)
+
+
+def test_support_cache_never_serves_a_law_edited_in_place():
+    # A tall law sends every row to the active set, where the first support
+    # (nothing pinned) is the same for both laws.
+    old, new = (click_matrix(DetectorModel(8, efficiency=eta), 6) for eta in (0.4, 0.9))
+    records = _active_set_records(old, 10, np.random.default_rng(7))
+    _PINVS.clear()
+    expected = lstsq_simplex(new, records)
+    A = np.array(old)
+    before = lstsq_simplex(A, records)
+    A[...] = new
+    after = lstsq_simplex(A, records)
+    assert np.array_equal(after, expected) and not np.array_equal(after, before)
+
+
+def test_support_cache_stays_within_its_bytes_under_threads(monkeypatch):
+    # A cache too small for every support evicts as it goes.  Four threads
+    # solving at once, switching every microsecond, must leave it holding
+    # what its byte count says, within its bound, and get the lone bits.
+    laws = [click_matrix(DetectorModel(8, efficiency=eta), 8) for eta in (0.3, 0.4, 0.5, 0.6)]
+    batches = [_active_set_records(L, 20, np.random.default_rng(k)) for k, L in enumerate(laws)]
+    unbounded = _PinvCache(max_bytes=1 << 22)
+    monkeypatch.setattr(inversion, "_PINVS", unbounded)
+    expected = [lstsq_simplex(L, b) for L, b in zip(laws, batches)]
+    cache = _PinvCache(max_bytes=8000)
+    monkeypatch.setattr(inversion, "_PINVS", cache)
+    results = [None] * len(laws)
+
+    def solve(k):
+        for _ in range(5):
+            results[k] = lstsq_simplex(laws[k], batches[k])
+
+    threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(laws))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None and np.array_equal(r, e) for r, e in zip(results, expected))
+    held = sum(entry[3] for entry in cache._entries.values())
+    assert 0 < cache.nbytes == held <= cache.max_bytes
+    assert len(cache) < len(unbounded)
+
+
+def test_rows_sharing_every_support_get_the_same_bits_alone_and_grouped(monkeypatch):
+    # Two records a hair apart pin the same coordinates at every step, so
+    # alone they never group (no np.unique).  With a third record that pins
+    # others, the batch groups, and the shared rows must not move by a bit.
+    unique_calls, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: unique_calls.append(1) or unique(*args, **kwargs))
+    L = click_matrix(DetectorModel(8, efficiency=0.4), 8)
+    rng = np.random.default_rng(3)
+    b, other = _active_set_records(L, 2, rng)
+    shared = np.array([b, b * (1 + 1e-9 * rng.standard_normal(9))])
+    alone = lstsq_simplex(L, shared)
+    assert not unique_calls
+    grouped = lstsq_simplex(L, np.vstack([shared, other]))
+    assert unique_calls
+    assert np.array_equal(grouped[:2], alone)
 
 
 def test_invert_clicks_round_trip():
