@@ -82,18 +82,11 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    from .witnesses import CLICK_WITNESSES, one_row, poisson_bootstrap
+    from .witnesses import one_row, poisson_bootstrap, witness_rows
 
     data = cio.sniff_click_csv(_read_input(args.input))
-    rows = CLICK_WITNESSES.get(args.witness)
-    if rows is None:  # Q_M, through the inversion
-        from .inversion import q_mandel_rows
-
-        if args.detector is None:
-            raise InvalidArgumentError("witness Q_M needs --detector for the inversion")
-        det = _require_detector(args.detector)
-        n_max = args.n_max if args.n_max is not None else det.n_bins
-        rows = q_mandel_rows(det, n_max, data.n_bins)
+    det = None if args.detector is None else _require_detector(args.detector)
+    rows = witness_rows(args.witness, data.n_bins, det, args.n_max)
     if isinstance(data, CountRecord):
         body = cio.to_plain(poisson_bootstrap(data, rows, args.replicas, args.seed))
     else:

@@ -44,8 +44,16 @@ from .distributions import (
 )
 from .errors import DegenerateConditioningError, InvalidArgumentError
 from .fockspace import apply_loss, catalysis_conditional_pn
-from .inversion import mc_q_mandel_from_clicks
-from .witnesses import WitnessEstimate, mc_witness, q_binomial, q_fake, q_mandel
+from .witnesses import (
+    WITNESSES,
+    WitnessEstimate,
+    mc_witness,
+    poisson_bootstrap,
+    q_binomial,
+    q_fake,
+    q_mandel,
+    witness_rows,
+)
 
 
 def _check_run(config) -> None:
@@ -259,7 +267,7 @@ def run_catalysis_sweep(config: CatalysisSweepConfig) -> CatalysisSweepResult:
     then the sweep raises DegenerateConditioningError.
     """
     det = config.signal_detector()
-    n_max = config.inversion_n_max if config.inversion_n_max is not None else config.n_bins
+    rows = [witness_rows(name, config.n_bins, det, config.inversion_n_max) for name in WITNESSES]
     root = np.random.SeedSequence(config.seed)
     points = []
     for reflectivity in config.reflectivities:
@@ -278,8 +286,9 @@ def run_catalysis_sweep(config: CatalysisSweepConfig) -> CatalysisSweepResult:
             continue
         clicks = forward_clicks(signal_pn, det)
         detected_pn = apply_loss(signal_pn, config.signal_efficiency)
-        seed_record, seed_qb, seed_qf, seed_qm = point_seed.spawn(4)
+        seed_record, *seeds = point_seed.spawn(4)
         record = sample_counts(clicks, config.expected_events, seed_record)
+        q_b, q_f, q_m = (poisson_bootstrap(record, r, config.n_replicas, s) for r, s in zip(rows, seeds))
         points.append(
             CatalysisPoint(
                 reflectivity=reflectivity,
@@ -289,11 +298,9 @@ def run_catalysis_sweep(config: CatalysisSweepConfig) -> CatalysisSweepResult:
                 q_b_exact=q_binomial(clicks),
                 q_f_exact=q_fake(clicks),
                 q_m_exact=q_mandel(detected_pn),
-                q_b=mc_witness(record, "Q_B", config.n_replicas, seed_qb),
-                q_f=mc_witness(record, "Q_F", config.n_replicas, seed_qf),
-                q_m=mc_q_mandel_from_clicks(
-                    record, det, n_max, n_replicas=config.n_replicas, seed=seed_qm
-                ),
+                q_b=q_b,
+                q_f=q_f,
+                q_m=q_m,
             )
         )
     if all(point.degenerate for point in points):

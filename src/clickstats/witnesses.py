@@ -12,12 +12,11 @@ Three normalized dispersion measures:
   clipping at N bins suppresses the variance.
 
 Each witness is defined once, as a function of a stack of frequency rows
-that leaves out the rows where it is undefined (``mandel_rows``,
-``CLICK_WITNESSES``); a point value is that function on one row
-(``one_row``).  ``poisson_bootstrap`` applies the same function to replica
-records drawn with each entry Poisson around the observed count, mirroring
-how raw coincidence counters accumulate events: ``mc_witness`` for the
-click witnesses, ``mc_q_mandel_from_clicks`` for the inversion route.
+that leaves out the rows where it is undefined, and found by name in one
+lookup, ``witness_rows`` over ``WITNESSES``; a point value is that function
+on one row (``one_row``).  ``poisson_bootstrap`` applies the same function
+to replica records drawn with each entry Poisson around the observed count,
+mirroring how raw coincidence counters accumulate events.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import ClickDistribution, CountRecord
+from .detector import ClickDistribution, CountRecord, DetectorModel
 from .distributions import PhotonDistribution, check_count, row_moments
 from .errors import InvalidArgumentError, UndefinedWitnessError
 
@@ -117,15 +116,35 @@ def _binomial_rows(probs: np.ndarray) -> np.ndarray:
 
 _binomial_rows.why = "mean click number is pinned at 0 or N, leaving no binomial spread"
 
-#: Click witness name -> the witness over a stack of click-frequency rows.
-CLICK_WITNESSES = {"Q_B": _binomial_rows, "Q_F": mandel_rows}
+#: The names ``witness_rows`` knows.
+WITNESSES = ("Q_B", "Q_F", "Q_M")
+
+
+def witness_rows(name: str, n_bins: int, det: DetectorModel | None = None, n_max: int | None = None) -> Callable:
+    """The rows function of witness ``name`` for click records over ``n_bins`` bins.
+
+    Q_B and Q_F act on the clicks alone.  Q_M inverts them through ``det``,
+    which it needs, onto photon numbers 0..n_max, N by default.  An unknown
+    name or a given ``n_max`` that is not an integer >= 0 is an InvalidArgumentError.
+    """
+    if name not in WITNESSES:
+        raise InvalidArgumentError(f"witness must be one of {WITNESSES}, got {name!r}")
+    if n_max is not None:
+        check_count(n_max, "n_max")
+    if name == "Q_B":
+        return _binomial_rows
+    if name == "Q_F":
+        return mandel_rows
+    if det is None:
+        raise InvalidArgumentError("witness Q_M needs a detector for the inversion")
+    from .inversion import q_mandel_rows  # here, so the click witnesses never load the inversion
+
+    return q_mandel_rows(det, det.n_bins if n_max is None else n_max, n_bins)
 
 
 def witness_from_counts(record: CountRecord, witness: str) -> float:
     """Evaluate a click witness on raw counts (relative frequencies)."""
-    if witness not in CLICK_WITNESSES:
-        raise InvalidArgumentError(f"witness must be one of {tuple(CLICK_WITNESSES)}, got {witness!r}")
-    rows = CLICK_WITNESSES[witness]
+    rows = witness_rows(witness, record.n_bins)
     counts = np.asarray(record.counts, dtype=float)
     total = counts.sum()
     if total <= 0:
@@ -205,12 +224,11 @@ def mc_witness(
     n_replicas: int = 10_000,
     seed=None,
 ) -> WitnessEstimate:
-    """Bootstrap a click witness under Poissonian counting noise: ``poisson_bootstrap`` on its rows.
+    """Bootstrap Q_B or Q_F under Poissonian counting noise: ``poisson_bootstrap`` on its rows.
 
     Replicas with an undefined witness (empty record, or mean clicks pinned
-    at 0 or N) are dropped and reported via ``dropped_fraction``.
+    at 0 or N) are dropped and reported via ``dropped_fraction``.  Q_M needs
+    a detector: ``mc_q_mandel_from_clicks``.
     """
-    if witness not in CLICK_WITNESSES:
-        raise InvalidArgumentError(f"witness must be one of {tuple(CLICK_WITNESSES)}, got {witness!r}")
-    return poisson_bootstrap(record, CLICK_WITNESSES[witness], n_replicas, seed)
+    return poisson_bootstrap(record, witness_rows(witness, record.n_bins), n_replicas, seed)
 

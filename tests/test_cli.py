@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -22,7 +23,7 @@ from clickstats import (
     forward_clicks,
     mc_q_mandel_from_clicks,
 )
-from clickstats.cli import main
+from clickstats.cli import build_parser, main
 from clickstats.io import (
     click_distribution_to_csv,
     count_record_to_csv,
@@ -208,11 +209,15 @@ def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path):
         ["forward", "--source", "coherent:1", "--n-max", "6", "--detector", "ideal:4"],
         ["witness", "--input", str(counts), "--replicas", "50"],
         ["witness", "--input", str(counts), "--replicas", "50", "--witness", "Q_F"],
+        # A detector given to a click witness is checked, not inverted through.
+        ["witness", "--input", str(counts), "--replicas", "50", "--witness", "Q_B", "--detector", "uniform:4,0.5"],
     ):
         assert not loaded(f"from clickstats.cli import main\nmain({argv!r})") & unused, argv
+    assert "clickstats.inversion" not in loaded("from clickstats.cli import main\nmain(['tmsv'])")
     argv = ["witness", "--input", str(counts), "--replicas", "50", "--witness", "Q_M", "--detector", "ideal:2"]
-    assert "clickstats.inversion" in loaded(f"from clickstats.cli import main\nmain({argv!r})")
-    assert not loaded(f"from clickstats.cli import main\nmain({argv!r})") & (unused - {"clickstats.inversion"})
+    modules = loaded(f"from clickstats.cli import main\nmain({argv!r})")
+    assert "clickstats.inversion" in modules
+    assert not modules & (unused - {"clickstats.inversion"})
 
 
 def test_every_traced_function_resolves():
@@ -262,6 +267,23 @@ def test_witness_q_mandel_requires_detector(tmp_path, capsys):
         ["witness", "--input", str(path), "--witness", "Q_M"],
         "invalid-argument",
     )
+
+
+@pytest.mark.parametrize("bad", [["--detector", "ideal:x"], ["--detector", "pnr"], ["--n-max", "-1"]])
+@pytest.mark.parametrize("witness", ["Q_B", "Q_F", "Q_M"])
+def test_witness_rejects_a_bad_detector_or_n_max_for_every_witness(tmp_path, capsys, witness, bad):
+    path = tmp_path / "counts.csv"
+    path.write_text(count_record_to_csv(CountRecord((50, 30, 5))))
+    argv = ["witness", "--input", str(path), "--replicas", "20", "--witness", witness, *bad]
+    run_fail(capsys, argv, "invalid-argument")
+
+
+def test_witness_choices_are_the_lookups_names():
+    from clickstats.witnesses import WITNESSES
+
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    witness = next(a for a in commands.choices["witness"]._actions if a.dest == "witness")
+    assert tuple(witness.choices) == WITNESSES
 
 
 def test_invert_json_and_csv(tmp_path, capsys):

@@ -19,7 +19,7 @@ from clickstats import (
     thermal_pn,
     witness_from_counts,
 )
-from clickstats.witnesses import poisson_bootstrap
+from clickstats.witnesses import WITNESSES, poisson_bootstrap, witness_rows
 from oracles import click_witness_gradient, click_witness_of_counts, delta_method_std
 
 
@@ -104,6 +104,25 @@ def test_witness_from_counts_rejects_bad_input():
         witness_from_counts(CountRecord((0, 0, 0)), "Q_B")
 
 
+def test_witness_lookup_names_every_witness_when_it_rejects_a_name():
+    with pytest.raises(InvalidArgumentError) as info:
+        witness_rows("Q_X", 3)
+    for name in WITNESSES:
+        assert name in str(info.value)
+
+
+def test_witness_lookup_builds_q_mandel_from_the_detector():
+    det = DetectorModel(4, efficiency=0.6)
+    freqs = forward_clicks(fock_pn(1), det).probs[None, :]
+    # n_max defaults to the detector's N.
+    values = witness_rows("Q_M", 4, det)(freqs)
+    assert np.array_equal(values, witness_rows("Q_M", 4, det, n_max=4)(freqs))
+    assert values[0] == pytest.approx(-0.6, abs=1e-6)
+    for name in WITNESSES:
+        with pytest.raises(InvalidArgumentError, match="n_max must be an integer"):
+            witness_rows(name, 4, det, n_max=-1)
+
+
 def test_mc_witness_reproducible_and_centered():
     c = forward_clicks(coherent_pn(1.0), DetectorModel.ideal(8))
     rec = sample_counts(c, 100_000, seed=42)
@@ -135,6 +154,8 @@ def test_mc_witness_rejects_hopeless_records():
         mc_witness(CountRecord((5, 5)), "Q_B", n_replicas=1, seed=0)
     with pytest.raises(InvalidArgumentError):
         mc_witness(CountRecord((5, 5)), "nope", n_replicas=10, seed=0)
+    with pytest.raises(InvalidArgumentError, match="needs a detector"):
+        mc_witness(CountRecord((5, 5)), "Q_M", n_replicas=10, seed=0)
 
 
 @pytest.mark.parametrize("n_replicas", [2.5, "100", [100], None])
