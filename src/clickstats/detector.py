@@ -26,7 +26,9 @@ the number of bins lit so far, at O(N^2 n_max^2) cost, each bin lighting
 in the dark when it takes no photon.  Every term of both recurrences is
 non-negative, so nothing cancels: entries that are zero come out exactly
 zero, no entry is negative, and columns sum to 1 to within accumulated
-rounding (< 1e-13).
+rounding, ~3e-17 a step over N + n_max steps (< 1e-12 at the cost limit);
+unequal bins at well over a thousand photons are the exception, as their
+unnormalised Pascal weights underflow.
 The textbook inclusion-exclusion sum, by contrast, alternates with large
 binomial weights and loses nine digits in floating point at N=32.
 """
@@ -38,11 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import check_count, check_nonnegative, check_probability, is_integer
+from .distributions import check_count, check_nonnegative, check_probability, check_probs, is_integer
 from .errors import DegenerateConditioningError, InvalidArgumentError
 
 _WEIGHT_SUM_ATOL = 1e-12
-_CLICK_NORM_ATOL = 1e-9
 
 #: Conditioning below this probability cannot be normalized meaningfully.
 DEGENERATE_PROB = 1e-15
@@ -100,19 +101,6 @@ class DetectorModel:
         return DetectorModel(self.n_bins, self.bin_weights, efficiency, self.dark_click_prob)
 
 
-def _checked_probs(probs: np.ndarray, what: str) -> np.ndarray:
-    """``probs`` clipped at 0 and read-only, once they are finite, >= -1e-12 and sum to 1."""
-    if not np.isfinite(probs).all():
-        raise InvalidArgumentError(f"{what} probabilities must be finite")
-    if (probs < -1e-12).any():
-        raise InvalidArgumentError(f"{what} probabilities must be >= 0")
-    probs = np.clip(probs, 0.0, None)
-    if abs(probs.sum() - 1.0) > _CLICK_NORM_ATOL:
-        raise InvalidArgumentError(f"{what} probabilities sum to {float(probs.sum())!r}, expected 1")
-    probs.flags.writeable = False
-    return probs
-
-
 @dataclass(frozen=True, eq=False)
 class ClickDistribution:
     """Probability vector over the number of clicks i = 0..N."""
@@ -123,7 +111,7 @@ class ClickDistribution:
         probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if probs.ndim != 1 or probs.size < 2:
             raise InvalidArgumentError("click probs must cover i = 0..N with N >= 1")
-        object.__setattr__(self, "probs", _checked_probs(probs, "click"))
+        object.__setattr__(self, "probs", check_probs(probs, "click"))
 
     @property
     def n_bins(self) -> int:
@@ -140,7 +128,7 @@ class JointClickDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise InvalidArgumentError("joint click probs must be a 2-d grid")
-        object.__setattr__(self, "probs", _checked_probs(probs, "joint click"))
+        object.__setattr__(self, "probs", check_probs(probs, "joint click"))
 
 
 @dataclass(frozen=True)
@@ -220,8 +208,9 @@ def click_matrix(det: DetectorModel, n_max: int) -> np.ndarray:
     """Conditional click law L[i, n] = P(i clicks | n photons enter).
 
     The returned (N+1) x (n_max+1) array is read-only and cached; no entry
-    is negative and every column sums to 1 to within accumulated rounding
-    (< 1e-13).
+    is negative and every column sums to 1 to within ~3e-17 (N + n_max)
+    (< 1e-12 at the cost limit), except unequal bins at well over a thousand
+    photons (see the module docstring).
 
     Raises:
         InvalidArgumentError: the law would take more than
@@ -233,11 +222,13 @@ def click_matrix(det: DetectorModel, n_max: int) -> np.ndarray:
     # multiply-adds of the bin-by-bin products, N^2 n_max^2 in all.  Each
     # Python-level step (n_max photon steps for uniform bins, and N dark ones
     # if d > 0; n_max Pascal columns and a product per unequal bin) is priced
-    # at 10^4 of them, and each entry of a uniform step at 30: on 2 CPUs the
-    # products ran at 3.4e9/s (N = 128), a step took ~3 us and an entry 3-11 ns.
+    # at 10^4 of them, each entry of a photon step at 30 and of a dark step
+    # at 8: on 2 CPUs the products ran at 2.6-2.8e9/s (N = 64-128), a step
+    # took 3-6 us, a photon-step entry ~10 ns and a dark-step entry 2-3 ns.
     floats = (N + 1) * cols + (0 if det.is_uniform else cols * cols)
-    steps = (N if det.dark_click_prob else 0) + n_max if det.is_uniform else N * cols
-    work = (30 * (N + 1) * steps if det.is_uniform else N * N * cols * cols) + 10_000 * steps
+    dark = N if det.dark_click_prob else 0
+    steps = dark + n_max if det.is_uniform else N * cols
+    work = ((N + 1) * (8 * dark + 30 * n_max) if det.is_uniform else N * N * cols * cols) + 10_000 * steps
     if 8 * floats > MAX_LAW_BYTES or work > MAX_LAW_MULTIPLY_ADDS:
         raise InvalidArgumentError(  # min(): an int beyond float range cannot be formatted
             f"a {N + 1} x {cols} click law needs ~{min(8 * floats, 1e300):.2g} bytes and "
@@ -260,7 +251,7 @@ def joint_forward_clicks(p_joint: np.ndarray, det1: DetectorModel, det2: Detecto
     p_joint = np.asarray(p_joint, dtype=float)
     if p_joint.ndim != 2:
         raise InvalidArgumentError("p_joint must be a 2-d photon-number grid")
-    p_joint = _checked_probs(p_joint, "joint photon-number")
+    p_joint = check_probs(p_joint, "joint photon-number")
     L1 = click_matrix(det1, p_joint.shape[0] - 1)
     L2 = click_matrix(det2, p_joint.shape[1] - 1)
     return JointClickDistribution(L1 @ p_joint @ L2.T)

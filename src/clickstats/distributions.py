@@ -43,18 +43,7 @@ class PhotonDistribution:
         probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if probs.ndim != 1 or probs.size == 0:
             raise InvalidArgumentError("probs must be a non-empty 1-d vector")
-        if not np.isfinite(probs).all():
-            raise InvalidArgumentError("probabilities must be finite")
-        if (probs < 0).any() or (probs > 1 + _NORM_ATOL).any():
-            raise InvalidArgumentError("probabilities must lie in [0, 1]")
-        total = probs.sum()
-        if abs(total - 1.0) > _NORM_ATOL:
-            raise InvalidArgumentError(
-                f"probabilities sum to {total!r}, expected 1 within {_NORM_ATOL}"
-            )
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", check_probs(probs, "photon-number"))
 
     @property
     def n_max(self) -> int:
@@ -106,6 +95,19 @@ def check_nonnegative(value, name: str, strict: bool = False) -> float:
     if not math.isfinite(x) or x < 0 or (strict and x == 0):
         raise InvalidArgumentError(f"{name} must be finite and {'>' if strict else '>='} 0, got {x!r}")
     return x
+
+
+def check_probs(probs: np.ndarray, what: str) -> np.ndarray:
+    """``probs`` clipped at 0 and read-only, once they are finite, >= -1e-12 and sum to 1."""
+    if not np.isfinite(probs).all():
+        raise InvalidArgumentError(f"{what} probabilities must be finite")
+    if (probs < -1e-12).any():
+        raise InvalidArgumentError(f"{what} probabilities must be >= 0")
+    probs = np.clip(probs, 0.0, None)
+    if abs(probs.sum() - 1.0) > _NORM_ATOL:
+        raise InvalidArgumentError(f"{what} probabilities sum to {float(probs.sum())!r}, expected 1")
+    probs.flags.writeable = False
+    return probs
 
 
 def check_probability(value, name: str) -> None:

@@ -22,8 +22,6 @@ be divided out.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,56 +45,33 @@ _NEGATIVE_MASS_ATOL = 1e-9
 _TOL = 1e-12
 
 
-class _PinvCache:
-    """Reduced pseudo-inverses ``pinv(A[:, rest] - A[:, [last]])``, by law content and pinned mask.
+#: Laws of at most this many bytes have their reduced pseudo-inverses cached,
+#: 1,024 supports of at most twice this each (law and pseudo-inverse): 4 MiB in
+#: all, and every support of a law of up to 10 columns.
+_CACHED_LAW_BYTES = 1 << 11
 
-    A law is keyed by its shape and bytes, never its identity, so an array
-    edited in place is a new law.  The cached arrays and their keys take at
-    most ``max_bytes``; the least recently used go first.
+
+def _reduced_pinv(A: np.ndarray, mask: np.ndarray) -> tuple:
+    """(rest, last, pinv(A[:, rest] - A[:, [last]])) for the free coordinates of ``mask``, ``last`` the eliminated one."""
+    free = np.flatnonzero(~mask)
+    rest, last = free[:-1], free[-1]
+    return rest, last, np.linalg.pinv(A[:, rest] - A[:, [last]])
+
+
+def _law_key(A: np.ndarray) -> tuple:
+    """The support cache's key for the law A: its shape and bytes."""
+    return A.shape, A.tobytes()
+
+
+@lru_cache(maxsize=1024)
+def _cached_pinv(shape: tuple, law: bytes, mask: bytes) -> tuple:
+    """``_reduced_pinv`` by the law's content, never its identity: a law edited in place is a new law.
+
+    The returned arrays are read-only, as every caller shares them.
     """
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes, self.nbytes = max_bytes, 0
-        self._entries: OrderedDict = OrderedDict()  # (law, mask bytes) -> (rest, last, pinv, bytes)
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-    def law(self, A: np.ndarray) -> tuple | None:
-        """A's key, or ``None`` (nothing cached) for a law too large to keep."""
-        return (A.shape, A.tobytes()) if A.nbytes <= self.max_bytes else None
-
-    def get(self, law: tuple | None, A: np.ndarray, mask: np.ndarray) -> tuple:
-        """(rest, last, pinv) for the free coordinates of ``mask``, ``last`` the eliminated one."""
-        key = law, mask.tobytes()
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                return hit[:3]
-        free = np.flatnonzero(~mask)
-        rest, last = free[:-1], free[-1]
-        pinv = np.linalg.pinv(A[:, rest] - A[:, [last]])
-        if law is None:
-            return rest, last, pinv
-        size = pinv.nbytes + free.nbytes + len(key[1]) + len(law[1])
-        with self._lock:
-            if size <= self.max_bytes and key not in self._entries:
-                while self.nbytes + size > self.max_bytes:
-                    self.nbytes -= self._entries.popitem(last=False)[1][3]
-                self._entries[key] = rest, last, pinv, size
-                self.nbytes += size
-        return rest, last, pinv
-
-
-#: One factorisation per support, shared by every row, iteration and call on the same law.
-_PINVS = _PinvCache(max_bytes=1 << 22)
+    rest, last, pinv = _reduced_pinv(np.frombuffer(law).reshape(shape), np.frombuffer(mask, dtype=bool))
+    rest.flags.writeable = pinv.flags.writeable = False
+    return rest, last, pinv
 
 
 def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
@@ -128,12 +103,13 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
     steps.
 
     One factorisation per support serves every row, every iteration and
-    every later call on the same law: the pseudo-inverses come from a cache
-    keyed by A's content (shape and bytes) and the pinned coordinates, and
-    bounded at 4 MiB.  It is filled only once a row enters the active set,
-    so a batch that the LU solve finishes neither reads A's bytes nor
-    caches anything.  A cached and a fresh factorisation are the same
-    bits, so results never depend on what was solved before.
+    every later call on the same law: for an A of at most 2 KiB, the
+    pseudo-inverses come from an ``lru_cache`` of 1,024 supports keyed by
+    A's content (shape and bytes) and the pinned coordinates.  It is
+    filled only once a row enters the active set, so a batch that the LU
+    solve finishes neither reads A's bytes nor caches anything.  A cached
+    and a fresh factorisation are the same bits, so results never depend
+    on what was solved before.
 
     Raises:
         InvalidArgumentError: mismatched shapes, a NaN or inf in A or b, or
@@ -177,7 +153,12 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
     active = np.zeros((pending.size, dim), dtype=bool)
     tabu = np.zeros((pending.size, dim), dtype=bool)
     best = np.full(pending.size, np.inf)
-    law = _PINVS.law(A) if pending.size else None
+    # The law's bytes are read only once a row enters the active set.
+    law = _law_key(A) if pending.size and A.nbytes <= _CACHED_LAW_BYTES else None
+
+    def support(mask):
+        return _reduced_pinv(A, mask) if law is None else _cached_pinv(*law, mask.tobytes())
+
     for _ in range(max_iter):
         if not pending.size:
             break
@@ -185,7 +166,7 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
         # once per distinct active set.
         X = np.zeros((pending.size, dim))
         if pending.size == 1 or (active == active[0]).all():
-            rest, last, pinv = _PINVS.get(law, A, active[0])
+            rest, last, pinv = support(active[0])
             y = pinv @ (B - A[:, last]).T
             X[:, rest] = y.T
             X[:, last] = 1.0 - y.sum(axis=0)
@@ -195,7 +176,7 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
             _, first, group = np.unique(keys, return_index=True, return_inverse=True)
             for g, mask in enumerate(active[first]):
                 members = np.flatnonzero(group == g)
-                rest, last, pinv = _PINVS.get(law, A, mask)
+                rest, last, pinv = support(mask)
                 y = pinv @ (B[members] - A[:, last]).T
                 X[np.ix_(members, rest)] = y.T
                 X[members, last] = 1.0 - y.sum(axis=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from clickstats import (
     ClickDistribution,
@@ -228,6 +229,18 @@ def test_click_matrix_refuses_a_law_beyond_its_cost_limits_before_building_it(mo
         with pytest.raises(InvalidArgumentError, match="the limits are 8e\\+07 and 1e\\+10") as info:
             click_matrix(det, n_max)
         assert cost in str(info.value)
+
+
+def test_a_wide_dark_law_the_dark_step_price_admits_builds():
+    # 20,000 bins with dark clicks: at 30 multiply-adds an entry of its
+    # dark pre-pass the law was priced at ~1.2e10 and refused; at 8 it is
+    # ~3.4e9, and it builds in about a second.  Its n = 0 column is the
+    # Binomial(N, d) law of the bins lit in the dark.
+    N, d = 20_000, 0.01
+    L = click_matrix(DetectorModel(N, efficiency=0.5, dark_click_prob=d), 1)
+    assert L.shape == (N + 1, 2)
+    np.testing.assert_allclose(L.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(L[:, 0], stats.binom.pmf(np.arange(N + 1), N, d), rtol=1e-11, atol=1e-14)
 
 
 def test_wide_uniform_law_with_dark_clicks_builds_without_a_square_table():

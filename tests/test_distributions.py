@@ -22,6 +22,12 @@ def test_photon_distribution_validates_and_freezes():
         PhotonDistribution(np.array([0.5, -0.1, 0.6]))
     with pytest.raises(InvalidArgumentError):
         PhotonDistribution(np.array([0.5, 0.4]))  # sums to 0.9
+    # Rounding below zero is clipped to +0.0, as for click probabilities;
+    # anything further below is refused.
+    clipped = PhotonDistribution(np.array([0.25, -1e-13, 0.75])).probs
+    assert clipped[1] == 0.0 and not np.signbit(clipped[1])
+    with pytest.raises(InvalidArgumentError, match="photon-number probabilities must be >= 0"):
+        PhotonDistribution(np.array([0.25, -1e-11, 0.75]))
 
 
 @pytest.mark.parametrize("mu", [0.1, 1.0, 5.0])

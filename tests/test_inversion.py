@@ -1,5 +1,6 @@
 import sys
 import threading
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from clickstats import (
     sample_counts,
 )
 from clickstats import inversion
-from clickstats.inversion import _PINVS, _condition_number, _PinvCache
+from clickstats.inversion import _cached_pinv, _condition_number
 from oracles import lstsq_simplex_by_enumeration, simplex_lstsq_on_support_exact, solve_exact
 
 
@@ -244,9 +245,9 @@ def test_warm_support_cache_gives_the_cold_bits_without_factorising(pinv_calls):
     # another array, factorises nothing and returns the same bits.
     L = click_matrix(DetectorModel(8, efficiency=0.4), 8)
     records = _active_set_records(L, 60, np.random.default_rng(5))
-    _PINVS.clear()
+    _cached_pinv.cache_clear()
     cold = lstsq_simplex(L, records)
-    assert len(pinv_calls) == len(_PINVS) >= 5
+    assert len(pinv_calls) == _cached_pinv.cache_info().currsize >= 5
     del pinv_calls[:]
     warm = lstsq_simplex(np.array(L), records)
     assert np.array_equal(warm, cold) and not pinv_calls
@@ -255,8 +256,10 @@ def test_warm_support_cache_gives_the_cold_bits_without_factorising(pinv_calls):
 def test_a_batch_the_lu_solve_finishes_leaves_the_support_cache_alone(monkeypatch):
     L = click_matrix(DetectorModel(8, efficiency=0.9, dark_click_prob=0.01), 8)
     B = np.random.default_rng(29).dirichlet(np.ones(9), size=50) @ L.T
-    monkeypatch.setattr(_PINVS, "law", lambda A: pytest.fail("the law was keyed"))
+    monkeypatch.setattr(inversion, "_law_key", lambda A: pytest.fail("the law was keyed"))
+    before = _cached_pinv.cache_info()
     lstsq_simplex(L, B)
+    assert _cached_pinv.cache_info() == before
 
 
 def test_support_cache_never_serves_a_law_edited_in_place():
@@ -264,7 +267,7 @@ def test_support_cache_never_serves_a_law_edited_in_place():
     # (nothing pinned) is the same for both laws.
     old, new = (click_matrix(DetectorModel(8, efficiency=eta), 6) for eta in (0.4, 0.9))
     records = _active_set_records(old, 10, np.random.default_rng(7))
-    _PINVS.clear()
+    _cached_pinv.cache_clear()
     expected = lstsq_simplex(new, records)
     A = np.array(old)
     before = lstsq_simplex(A, records)
@@ -273,17 +276,17 @@ def test_support_cache_never_serves_a_law_edited_in_place():
     assert np.array_equal(after, expected) and not np.array_equal(after, before)
 
 
-def test_support_cache_stays_within_its_bytes_under_threads(monkeypatch):
+def test_support_cache_stays_within_its_bound_under_threads(monkeypatch):
     # A cache too small for every support evicts as it goes.  Four threads
-    # solving at once, switching every microsecond, must leave it holding
-    # what its byte count says, within its bound, and get the lone bits.
+    # solving at once, switching every microsecond, must leave it within its
+    # bound and get the lone bits.
     laws = [click_matrix(DetectorModel(8, efficiency=eta), 8) for eta in (0.3, 0.4, 0.5, 0.6)]
     batches = [_active_set_records(L, 20, np.random.default_rng(k)) for k, L in enumerate(laws)]
-    unbounded = _PinvCache(max_bytes=1 << 22)
-    monkeypatch.setattr(inversion, "_PINVS", unbounded)
+    _cached_pinv.cache_clear()
     expected = [lstsq_simplex(L, b) for L, b in zip(laws, batches)]
-    cache = _PinvCache(max_bytes=8000)
-    monkeypatch.setattr(inversion, "_PINVS", cache)
+    supports = _cached_pinv.cache_info().misses
+    small = lru_cache(maxsize=2)(_cached_pinv.__wrapped__)
+    monkeypatch.setattr(inversion, "_cached_pinv", small)
     results = [None] * len(laws)
 
     def solve(k):
@@ -302,9 +305,40 @@ def test_support_cache_stays_within_its_bytes_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(r is not None and np.array_equal(r, e) for r, e in zip(results, expected))
-    held = sum(entry[3] for entry in cache._entries.values())
-    assert 0 < cache.nbytes == held <= cache.max_bytes
-    assert len(cache) < len(unbounded)
+    info = small.cache_info()
+    assert info.currsize == 2 < supports < info.misses
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), extra=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_cached_fresh_and_warm_solves_are_the_same_bits(n, extra, seed):
+    # Tall laws, so every row enters the active set, from 48 bytes to 4 KiB:
+    # on both sides of the 2 KiB that lstsq_simplex caches.
+    rng = np.random.default_rng(seed)
+    A, B = rng.random((n + extra, n)), rng.random((3, n + extra))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inversion, "_CACHED_LAW_BYTES", 0)
+        fresh = lstsq_simplex(A, B)
+    _cached_pinv.cache_clear()
+    cold = lstsq_simplex(A, B)
+    assert (_cached_pinv.cache_info().currsize > 0) == (A.nbytes <= inversion._CACHED_LAW_BYTES)
+    warm = lstsq_simplex(np.array(A), B)
+    assert np.array_equal(cold, fresh) and np.array_equal(warm, fresh)
+
+
+def test_a_law_over_2_kib_is_solved_on_its_support_and_never_cached():
+    # 33 x 8 floats, 2,112 bytes: every row of this tall law enters the
+    # active set, which meets several supports and caches none of them.
+    L = click_matrix(DetectorModel(32, efficiency=0.4), 7)
+    assert L.nbytes > inversion._CACHED_LAW_BYTES
+    records = _active_set_records(L, 5, np.random.default_rng(11))
+    before = _cached_pinv.cache_info()
+    X = lstsq_simplex(L, records)
+    assert _cached_pinv.cache_info() == before
+    bound = np.linalg.cond(L) * np.finfo(float).eps
+    for x, b in zip(X, records):
+        exact = simplex_lstsq_on_support_exact(L, b, np.flatnonzero(x > 0))
+        assert np.abs(x - [float(e) for e in exact]).max() <= bound
 
 
 def test_rows_sharing_every_support_get_the_same_bits_alone_and_grouped(monkeypatch):
