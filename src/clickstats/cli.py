@@ -49,15 +49,8 @@ def _read_input(path: str) -> str:
         raise InvalidArgumentError(f"cannot read the input: {exc}") from None
 
 
-def _require_detector(spec: str):
-    det = cio.parse_detector_spec(spec)
-    if det is None:
-        raise InvalidArgumentError("'pnr' is only valid as a herald; give a binned detector")
-    return det
-
-
 def _cmd_matrix(args) -> int:
-    det = _require_detector(args.detector)
+    det = cio.parse_detector_spec(args.detector)
     L = click_matrix(det, args.n_max)
     if args.format == "json":
         text = cio.to_json(cio.envelope("click_matrix", detector=det, n_max=args.n_max, matrix=L))
@@ -74,7 +67,7 @@ def _source_distribution(args):
 
 
 def _cmd_forward(args) -> int:
-    det = _require_detector(args.detector)
+    det = cio.parse_detector_spec(args.detector)
     p = _source_distribution(args)
     c = forward_clicks(p, det)
     _write_output(args, cio.click_distribution_to_csv(c))
@@ -85,7 +78,7 @@ def _cmd_witness(args) -> int:
     from .witnesses import one_row, poisson_bootstrap, witness_rows
 
     data = cio.sniff_click_csv(_read_input(args.input))
-    det = None if args.detector is None else _require_detector(args.detector)
+    det = None if args.detector is None else cio.parse_detector_spec(args.detector)
     rows = witness_rows(args.witness, data.n_bins, det, args.n_max)
     if isinstance(data, CountRecord):
         body = cio.to_plain(poisson_bootstrap(data, rows, args.replicas, args.seed))
@@ -106,7 +99,7 @@ def _cmd_invert(args) -> int:
         clicks = ClickDistribution(counts / counts.sum())
     else:
         clicks = data
-    det = _require_detector(args.detector)
+    det = cio.parse_detector_spec(args.detector)
     result = invert_clicks(clicks, det, args.n_max, method=args.method)
     if args.format == "csv":
         text = cio.photon_distribution_to_csv(result.distribution())
@@ -121,7 +114,7 @@ def _cmd_sample(args) -> int:
     if args.source is not None:
         if args.detector is None:
             raise InvalidArgumentError("--source needs --detector to produce clicks")
-        det = _require_detector(args.detector)
+        det = cio.parse_detector_spec(args.detector)
         p = cio.parse_source_spec(args.source, n_max=args.n_max)
         c = forward_clicks(p, det)
     else:

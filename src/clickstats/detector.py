@@ -23,12 +23,11 @@ over the number of lit bins that starts from the Binomial(N, d) law of the
 bins lit in the dark, built row-major (one contiguous row per photon
 number, transposed once at the end); otherwise one bin at a time, over
 the number of bins lit so far, at O(N^2 n_max^2) cost, each bin lighting
-in the dark when it takes no photon.  Every term of both recurrences is
-non-negative, so nothing cancels: entries that are zero come out exactly
-zero, no entry is negative, and columns sum to 1 to within accumulated
-rounding, ~3e-17 a step over N + n_max steps (< 1e-12 at the cost limit);
-unequal bins at well over a thousand photons are the exception, as their
-unnormalised Pascal weights underflow.
+in the dark when it takes no photon.  Every step of both recurrences is a
+stochastic matrix with non-negative terms, so nothing cancels and nothing
+leaves float range: entries that are zero come out exactly zero, no entry
+is negative, and columns sum to 1 to within accumulated rounding, ~3e-17
+a step over N + n_max steps (< 1e-12 at the cost limit).
 The textbook inclusion-exclusion sum, by contrast, alternates with large
 binomial weights and loses nine digits in floating point at N=32.
 """
@@ -40,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import check_count, check_nonnegative, check_probability, check_probs, is_integer
+from .distributions import binomial_matrix, check_count, check_nonnegative, check_probability, check_probs, is_integer
 from .errors import DegenerateConditioningError, InvalidArgumentError
 
 _WEIGHT_SUM_ATOL = 1e-12
@@ -162,7 +161,8 @@ def _lit_bins(det: DetectorModel, n_max: int) -> np.ndarray:
 
     Uniform bins add one photon at a time, row-major, and the result is
     transposed once (briefly two copies of the law); other weights add one
-    bin at a time, O(N^2 n_max^2).
+    bin at a time, O(N^2 n_max^2), each bin's binomial table briefly held
+    twice (``binomial_matrix``'s row-major build, then a writable copy).
     """
     N, eta, d = det.n_bins, det.efficiency, det.dark_click_prob
     if det.is_uniform:
@@ -185,32 +185,33 @@ def _lit_bins(det: DetectorModel, n_max: int) -> np.ndarray:
             T[n, 1:] += move * T[n - 1, :-1]
         return np.ascontiguousarray(T.T)
     lit = np.zeros((N + 1, n_max + 1))
-    lit[0, 0] = 1.0
-    # Bin by bin: lit[i, n] sums the weight of every placement of n photons
-    # over the loss channel and the bins added so far that lights i of them.
-    # A new bin b takes n - k of the n photons with weight
-    # add[k, n] = C(n, k) (eta w_b)^(n-k), k < n, and lights one more bin;
-    # taking none, it lights in the dark with add[n, n] = d, else stays dark.
-    lit[0] = (1.0 - eta) ** np.arange(n_max + 1)
+    lit[0] = 1.0
+    # Bin by bin: lit[i, n] = P(i of the bins added so far are lit | each
+    # of the n photons was lost or landed in one of them), a column per n.
+    # With r = 1 - eta + eta (the weights added so far), adding a bin keeps
+    # each photon in the old bins with probability old / r, so add[k, n] =
+    # P(k of n stay old) is one Binomial(n, old / r) table, uncached.  At
+    # r = 0 no photon can land yet and any probability gives the same law.
+    # The new bin lights if it takes a photon (k < n), else in the dark with d.
+    r = 1.0 - eta
     for q in eta * np.asarray(det.bin_weights):
-        add = np.eye(n_max + 1)  # column 0 starts the Pascal rule; the rest is overwritten
-        for n in range(1, n_max + 1):
-            add[:, n] = q * add[:, n - 1]
-            add[1:, n] += add[:-1, n - 1]
-        np.fill_diagonal(add, d)
-        lit[1:] = (1.0 - d) * lit[1:] + lit[:-1] @ add
-        lit[0] *= 1.0 - d
+        old, r = r, r + q
+        add = np.array(binomial_matrix.__wrapped__(old / r if r else 1.0, n_max))
+        none = add.diagonal().copy()
+        np.fill_diagonal(add, d * none)
+        lit[1:] = (1.0 - d) * none * lit[1:] + lit[:-1] @ add
+        lit[0] *= (1.0 - d) * none
+        del add  # so the next bin's build and copy are the only tables held
     return lit
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def click_matrix(det: DetectorModel, n_max: int) -> np.ndarray:
     """Conditional click law L[i, n] = P(i clicks | n photons enter).
 
     The returned (N+1) x (n_max+1) array is read-only and cached; no entry
     is negative and every column sums to 1 to within ~3e-17 (N + n_max)
-    (< 1e-12 at the cost limit), except unequal bins at well over a thousand
-    photons (see the module docstring).
+    (< 1e-12 at the cost limit).
 
     Raises:
         InvalidArgumentError: the law would take more than
@@ -218,10 +219,10 @@ def click_matrix(det: DetectorModel, n_max: int) -> np.ndarray:
     """
     n_max = check_count(n_max, "n_max")
     N, cols = det.n_bins, n_max + 1
-    # Floats: the law, and a non-uniform bin's Pascal table.  Work counts
+    # Floats: the law, and a non-uniform bin's binomial table.  Work counts
     # multiply-adds of the bin-by-bin products, N^2 n_max^2 in all.  Each
     # Python-level step (n_max photon steps for uniform bins, and N dark ones
-    # if d > 0; n_max Pascal columns and a product per unequal bin) is priced
+    # if d > 0; n_max binomial-table rows and a product per unequal bin) is priced
     # at 10^4 of them, each entry of a photon step at 30 and of a dark step
     # at 8: on 2 CPUs the products ran at 2.6-2.8e9/s (N = 64-128), a step
     # took 3-6 us, a photon-step entry ~10 ns and a dark-step entry 2-3 ns.

@@ -145,16 +145,16 @@ def parse_source_spec(spec: str, n_max: int | None = None) -> PhotonDistribution
     )
 
 
-def parse_detector_spec(spec: str) -> DetectorModel | None:
+def parse_detector_spec(spec: str) -> DetectorModel:
     """Build a detector from a compact spec string.
 
     ``ideal:N`` is an N-bin detector with no loss or dark clicks;
-    ``uniform:N,ETA[,DARK]`` adds efficiency and dark clicks; ``pnr`` is
-    the ideal photon-number-resolving herald (returns ``None``, which is
-    only meaningful where a herald is expected).
+    ``uniform:N,ETA[,DARK]`` adds efficiency and dark clicks.  ``pnr``, the
+    ideal photon-number-resolving herald, is refused: it is no binned
+    detector, and only a config's herald field takes it.
     """
     if spec == "pnr":
-        return None
+        raise InvalidArgumentError("'pnr' is only valid as a herald; give a binned detector")
     kind, sep, arg = spec.partition(":")
     try:
         if kind == "ideal" and sep:
@@ -197,11 +197,11 @@ def _parse_field(key: str, value: str, annotation: str):
     """Parse one config value by its dataclass field's annotation.
 
     ``X | None`` also accepts ``none``; a tuple is a comma list; a detector
-    is a spec string, where ``pnr`` gives ``None``.
+    is a spec string, and the herald's ``pnr`` gives ``None``.
     """
     kind, _, optional = annotation.partition(" | ")
     if kind == "DetectorModel":
-        return parse_detector_spec(value)
+        return None if key == "herald_detector" and value == "pnr" else parse_detector_spec(value)
     if optional and value.lower() == "none":
         return None
     try:

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import clickstats
 from clickstats import (
     ClickDistribution,
     CountRecord,
@@ -73,6 +76,24 @@ def test_detector_model_hashable_and_cached():
     assert not click_matrix(a, 10).flags.writeable
 
 
+def test_every_cache_in_the_package_is_in_the_readme_inventory():
+    # README's cache paragraph gives each cache's memory ceiling from these
+    # sizes: a new or resized cache updates this table and that paragraph.
+    caches = {}
+    for info in pkgutil.iter_modules(clickstats.__path__):
+        module = importlib.import_module(f"clickstats.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                caches[name] = obj.cache_info().maxsize
+    assert caches == {
+        "click_matrix": 8,
+        "binomial_matrix": 64,
+        "_coherent_amplitudes": 64,
+        "_condition_number": 64,
+        "_cached_pinv": 1024,
+    }
+
+
 def test_two_photon_goldens():
     # Two photons on an ideal 8-bin detector: collision probability 1/8.
     L = click_matrix(DetectorModel.ideal(8), 2)
@@ -132,6 +153,7 @@ def test_nonuniform_matches_enumeration(weights):
         (12, (0.2, 0.15, 0.12, 0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03, 0.01), 0.9, 0.0),
         (12, (0.2, 0.15, 0.12, 0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03, 0.01), 0.9, 0.02),
         (5, (0.4, 0.25, 0.2, 0.1, 0.05), 0.8, 0.34),
+        (4, (0.0, 0.0, 0.6, 0.4), 1.0, 0.05),  # no photon can reach the first two bins
         (8, None, 0.55, 0.34),
     ],
 )
@@ -212,6 +234,53 @@ def test_nonuniform_click_law_has_no_bin_cap():
     # Equal explicit weights take the chain itself.
     explicit = click_matrix(DetectorModel(64, tuple([1.0 / 64] * 64)), 128)
     assert np.array_equal(explicit, chain)
+
+
+def test_unequal_bins_stay_stochastic_at_thousands_of_photons():
+    # Unnormalised factors, (1 - eta)^n and C(n, k) (eta w_b)^(n-k), leave
+    # float range here: columns built from them fall 1e-12 short of 1 at
+    # 1,682 photons and sum to 0 from about 2,500.
+    w = np.linspace(1.0, 2.0, 8)
+    det = DetectorModel(8, tuple(w / w.sum()), efficiency=0.6)
+    before = binomial_matrix.cache_info()
+    L = click_matrix(det, 3000)
+    assert binomial_matrix.cache_info() == before  # each bin's table is built uncached
+    assert np.all(L >= 0.0)
+    for n in (1682, 2000, 2500, 3000):
+        assert abs(L[:, n].sum() - 1.0) < 1e-13, n
+
+
+@st.composite
+def unequal_detectors(draw):
+    # Dirichlet(1, ..., 1) weights with some bins switched off.
+    u = draw(st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=2, max_size=12), label="u")
+    off = draw(st.lists(st.booleans(), min_size=len(u), max_size=len(u)), label="off")
+    w = np.where(off, 0.0, -np.log(u))
+    assume(w.sum() > 0)
+    det = DetectorModel(len(u), tuple(w / w.sum()), draw(st.floats(0.0, 1.0), label="eta"),
+                        draw(st.floats(0.0, 0.5, exclude_max=True), label="dark"))
+    assume(not det.is_uniform)
+    return det
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(det=unequal_detectors(), n_max=st.integers(0, 400))
+def test_unequal_bin_law_is_stochastic_for_random_detectors(det, n_max):
+    L = click_matrix(det, n_max)
+    assert np.all(L >= 0.0)
+    assert np.abs(L.sum(axis=0) - 1.0).max() < 1e-13
+
+
+@pytest.mark.parametrize("eta,dark", [(0.6, 0.0), (0.6, 0.01), (1.0, 0.0)])
+def test_nearly_equal_bins_match_the_uniform_chain_beyond_the_oracles_reach(eta, dark):
+    # Weights (1 + 1e-9 u)/N go bin by bin; at 500 photons no exact
+    # oracle runs, but the photon-by-photon chain is the same law to ~1e-9.
+    w = 1.0 + 1e-9 * np.random.default_rng(19).random(8)
+    det = DetectorModel(8, tuple(w / w.sum()), eta, dark)
+    assert not det.is_uniform
+    L, chain = click_matrix(det, 500), click_matrix(DetectorModel(8, None, eta, dark), 500)
+    assert np.array_equal(L == 0.0, chain == 0.0)
+    np.testing.assert_allclose(L, chain, rtol=1e-7, atol=0)
 
 
 def test_click_matrix_refuses_a_law_beyond_its_cost_limits_before_building_it(monkeypatch):
@@ -299,6 +368,13 @@ def test_joint_forward_clicks_rejects_a_bad_grid_before_building_laws(monkeypatc
     monkeypatch.setattr(detector, "click_matrix", lambda det, n_max: pytest.fail("built a click law"))
     with pytest.raises(InvalidArgumentError, match=f"joint photon-number probabilities {message}"):
         joint_forward_clicks(np.array(grid), DetectorModel(2), DetectorModel(2))
+
+
+def test_joint_statistics_refuse_grids_that_are_not_2_d():
+    with pytest.raises(InvalidArgumentError, match="joint click probs must be a 2-d grid"):
+        JointClickDistribution(np.array([0.5, 0.5]))
+    with pytest.raises(InvalidArgumentError, match="p_joint must be a 2-d photon-number grid"):
+        joint_forward_clicks(np.full((2, 2, 2), 0.125), DetectorModel(2), DetectorModel(2))
 
 
 def test_efficiency_folding_equals_pre_thinning():

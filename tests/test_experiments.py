@@ -12,6 +12,7 @@ from clickstats import (
     apply_loss,
     catalysis_conditional_pn,
     forward_clicks,
+    mc_q_mandel_from_clicks,
     q_binomial,
     q_mandel,
     q_mandel_from_clicks,
@@ -167,6 +168,22 @@ def test_catalysis_sweep_point_consistency():
         for est in (point.q_b, point.q_f, point.q_m):
             assert est.std_error > 0
             assert est.n_replicas >= 2
+
+
+def test_catalysis_sweep_inverts_to_the_configured_n_max():
+    # A tall inversion: 8 bins read back onto 0..6 photons.  Each point's
+    # Q_M is the bootstrap of its own record on the fourth of its seeds.
+    config = fast_catalysis(n_bins=8, inversion_n_max=6)
+    det = config.signal_detector()
+    root = np.random.SeedSequence(config.seed)
+    for point in run_catalysis_sweep(config).points:
+        seeds = root.spawn(1)[0].spawn(4)
+        expected = mc_q_mandel_from_clicks(point.record, det, 6, config.n_replicas, seeds[3])
+        assert point.q_m.value == expected.value
+        assert np.array_equal(point.q_m.samples, expected.samples)
+    assert point.q_m.value != run_catalysis_sweep(fast_catalysis(n_bins=8)).points[-1].q_m.value
+    with pytest.raises(InvalidArgumentError, match="inversion_n_max"):
+        fast_catalysis(inversion_n_max=-1)
 
 
 def test_inversion_route_truncation_gives_a_false_certificate_for_coherent_light():

@@ -123,7 +123,8 @@ def test_parse_detector_spec():
     assert det == DetectorModel(8, efficiency=0.5, dark_click_prob=0.01)
     assert parse_detector_spec("uniform:4,0.9") == DetectorModel(4, efficiency=0.9)
     assert parse_detector_spec("ideal:3") == DetectorModel.ideal(3)
-    assert parse_detector_spec("pnr") is None
+    with pytest.raises(InvalidArgumentError, match="'pnr' is only valid as a herald; give a binned detector"):
+        parse_detector_spec("pnr")
     for bad in ("ideal", "uniform:8", "uniform:8,0.5,0.1,9", "foo:1", "ideal:x"):
         with pytest.raises(InvalidArgumentError):
             parse_detector_spec(bad)

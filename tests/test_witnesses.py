@@ -86,6 +86,14 @@ def test_click_witnesses_undefined_at_pinned_means():
         q_fake(vacuum)
 
 
+def test_bootstrap_refuses_fewer_than_two_defined_replicas():
+    # One click in each of 1 + 1 outcomes: Q_B is defined (mean 1/2 of N = 1),
+    # but a replica with either count 0 pins the mean at 0 or N.
+    for seed, defined in ((0, 0), (2, 1)):
+        with pytest.raises(UndefinedWitnessError, match=f"only {defined} of 2 replicas gave a defined witness"):
+            mc_witness(CountRecord((1, 1)), "Q_B", 2, seed)
+
+
 def test_witness_from_counts_matches_probabilities():
     rng = np.random.default_rng(5)
     for _ in range(20):
