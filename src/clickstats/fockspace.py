@@ -100,12 +100,12 @@ def catalysis_conditional_pn(
         cutoff = check_count(cutoff, "cutoff")
     c = _coherent_amplitudes(alpha, cutoff)
     m = c.size - 1
-    # phi[p, q] from column t = p + q of the binomial law, zero for t > m.
+    # phi[p, q] from column t = p + q of the binomial law, zero for t > m (uncached: R is new per point).
     p = np.arange(m + 1)
     t = p[:, None] + p
     inside = t <= m
     t[~inside] = 0
-    phi = np.where(inside, c[t] * np.sqrt(binomial_matrix(reflectivity, m)[p[:, None], t]), 0.0)
+    phi = np.where(inside, c[t] * np.sqrt(binomial_matrix.__wrapped__(reflectivity, m)[p[:, None], t]), 0.0)
     root = np.sqrt(np.arange(1, m + 2))
     psi = np.zeros((m + 2, m + 2))
     psi[1:, :-1] = math.sqrt(1.0 - reflectivity) * root[:, None] * phi

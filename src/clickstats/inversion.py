@@ -100,7 +100,8 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
     data.  All rows iterate together: each step groups the unfinished rows
     by their active set (no grouping when they all share one).  Each row
     follows the iteration it would follow alone, for at most ``max_iter``
-    steps.
+    steps, but its last bit can depend on its batch: the LU solve and
+    ``pinv @ M`` round a one-column and a many-column M differently.
 
     One factorisation per support serves every row, every iteration and
     every later call on the same law: for an A of at most 2 KiB, the

@@ -153,7 +153,7 @@ def parse_detector_spec(spec: str) -> DetectorModel:
     ideal photon-number-resolving herald, is refused: it is no binned
     detector, and only a config's herald field takes it.
     """
-    if spec == "pnr":
+    if spec.lower() == "pnr":
         raise InvalidArgumentError("'pnr' is only valid as a herald; give a binned detector")
     kind, sep, arg = spec.partition(":")
     try:
@@ -170,7 +170,7 @@ def parse_detector_spec(spec: str) -> DetectorModel:
     except ValueError as exc:
         raise InvalidArgumentError(f"bad detector spec {spec!r}: {exc}") from None
     raise InvalidArgumentError(
-        f"unknown detector spec {spec!r}; expected ideal:N, uniform:N,ETA[,DARK] or pnr"
+        f"unknown detector spec {spec!r}; expected ideal:N or uniform:N,ETA[,DARK]"
     )
 
 
@@ -200,10 +200,10 @@ def _parse_field(key: str, value: str, annotation: str):
     is a spec string, and the herald's ``pnr`` gives ``None``.
     """
     kind, _, optional = annotation.partition(" | ")
-    if kind == "DetectorModel":
-        return None if key == "herald_detector" and value == "pnr" else parse_detector_spec(value)
     if optional and value.lower() == "none":
         return None
+    if kind == "DetectorModel":
+        return None if key == "herald_detector" and value.lower() == "pnr" else parse_detector_spec(value)
     try:
         if kind.startswith("tuple["):
             item = _SCALARS[kind[len("tuple[") :].split(",")[0]]

@@ -167,10 +167,10 @@ def poisson_bootstrap(
     ``default_rng(seed).poisson(counts, size=(n_replicas, N+1))``; those
     with zero total are dropped, and ``rows`` scores the rest.
 
-    Only the columns with a non-zero count are drawn, into a zero matrix.
-    The replicas still equal the full draw bit for bit: numpy's Poisson
-    sampler returns 0 for a zero rate without consuming the bit stream, so
-    the non-zero columns see the same random numbers in the same order.
+    The non-zero columns are drawn into one float matrix of zeros, then
+    normalised in place (peak: that matrix plus the int64 draw).  This is
+    the full draw bit for bit: numpy's Poisson sampler returns 0 for a zero
+    rate without consuming the bit stream, so the rest see the same bits.
 
     Raises:
         InvalidArgumentError: n_replicas not an integer >= 2, a negative
@@ -193,18 +193,19 @@ def poisson_bootstrap(
     rng = np.random.default_rng(seed)
     drawn = np.flatnonzero(counts)
     try:
-        replicas = np.zeros((n_replicas, counts.size), dtype=np.int64)
-        replicas[:, drawn] = rng.poisson(lam=counts[drawn], size=(n_replicas, drawn.size))
+        freqs = np.zeros((n_replicas, counts.size))
+        freqs[:, drawn] = rng.poisson(lam=counts[drawn], size=(n_replicas, drawn.size))
     except MemoryError:
         raise InvalidArgumentError(
             f"{n_replicas} replicas of {counts.size} counts do not fit in memory"
         ) from None
     except ValueError as exc:
         raise InvalidArgumentError(f"counts or n_replicas too large to resample: {exc}") from None
-    totals = replicas.sum(axis=1, dtype=float)
+    totals = freqs.sum(axis=1)
     if not totals.all():  # copy the rows only when some replica is empty
-        replicas, totals = replicas[totals > 0], totals[totals > 0]
-    samples = rows(replicas / totals[:, None])
+        freqs, totals = freqs[totals > 0], totals[totals > 0]
+    freqs /= totals[:, None]
+    samples = rows(freqs)
     if samples.size < 2:
         raise UndefinedWitnessError(
             f"only {samples.size} of {n_replicas} replicas gave a defined witness"

@@ -57,6 +57,11 @@ def test_matrix_csv(capsys):
     assert grid[1, 2] == pytest.approx(0.5)
 
 
+def test_matrix_with_an_unknown_detector_offers_no_pnr(capsys):
+    err = run_fail(capsys, ["matrix", "--detector", "foo:1", "--n-max", "2"], "invalid-argument")
+    assert "unknown detector spec" in err and "pnr" not in err
+
+
 def test_matrix_json(capsys):
     out = run_ok(
         capsys,

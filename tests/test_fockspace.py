@@ -246,6 +246,15 @@ def test_coherent_amplitudes_are_cached_and_read_only():
     assert np.array_equal(cached, np.sqrt(coherent_pn(2.25, n_max=30).probs))
 
 
+def test_catalysis_leaves_the_binomial_cache_alone():
+    # Each sweep point has its own reflectivity, so its splitter table is
+    # never read again: only loss matrices stay cached.
+    before = binomial_matrix.cache_info()
+    for herald in (None, DetectorModel(4, efficiency=0.5)):
+        catalysis_conditional_pn(1.3, 0.4321, 1, herald_detector=herald)
+    assert binomial_matrix.cache_info() == before
+
+
 def test_catalysis_interpolates_between_anchors():
     # At intermediate reflectivity the heralded state is genuinely new:
     # sub-Poissonian but not a Fock state.

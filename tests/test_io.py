@@ -125,6 +125,8 @@ def test_parse_detector_spec():
     assert parse_detector_spec("ideal:3") == DetectorModel.ideal(3)
     with pytest.raises(InvalidArgumentError, match="'pnr' is only valid as a herald; give a binned detector"):
         parse_detector_spec("pnr")
+    with pytest.raises(InvalidArgumentError, match="only valid as a herald"):
+        parse_detector_spec("PNR")
     for bad in ("ideal", "uniform:8", "uniform:8,0.5,0.1,9", "foo:1", "ideal:x"):
         with pytest.raises(InvalidArgumentError):
             parse_detector_spec(bad)
@@ -180,8 +182,8 @@ def test_catalysis_config_from_dict():
     assert config.reflectivities == (0.0, 0.5, 1.0)
     assert config.herald_detector == DetectorModel(4, efficiency=0.5)
     assert config.expected_events == 100.0
-    pnr = catalysis_config_from_dict({"herald_detector": "pnr"})
-    assert pnr.herald_detector is None
+    for herald in ("pnr", "PNR", "none", "None"):
+        assert catalysis_config_from_dict({"herald_detector": herald}).herald_detector is None
 
 
 CONFIG_KEYS = sorted(
