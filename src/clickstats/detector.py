@@ -288,6 +288,14 @@ def condition_on_clicks(joint: JointClickDistribution, which_arm: int, k: int | 
     return ClickDistribution(slice_ / prob), prob
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; InvalidArgumentError for a seed it refuses, such as a float or a negative int."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"seed {seed!r} refused by numpy.random.default_rng: {exc}") from None
+
+
 def sample_counts(c: ClickDistribution, expected_total: float, seed) -> CountRecord:
     """Draw a count record with independent Poissonian noise per click number.
 
@@ -295,9 +303,7 @@ def sample_counts(c: ClickDistribution, expected_total: float, seed) -> CountRec
     a fixed seed gives a reproducible record.
     """
     check_nonnegative(expected_total, "expected_total", strict=True)
-    if isinstance(seed, (int, np.integer)):
-        check_count(seed, "seed")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     try:
         counts = rng.poisson(expected_total * c.probs)
     except ValueError as exc:  # numpy's Poisson sampler refuses lam >= ~9.2e18

@@ -97,11 +97,13 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
     A pinned coordinate whose release makes no progress (its unpinned
     solution heads straight back below zero) is barred from release until
     the objective next improves, which rules out cycling on degenerate
-    data.  All rows iterate together: each step groups the unfinished rows
-    by their active set (no grouping when they all share one).  Each row
-    follows the iteration it would follow alone, for at most ``max_iter``
-    steps, but its last bit can depend on its batch: the LU solve and
-    ``pinv @ M`` round a one-column and a many-column M differently.
+    data.  All rows iterate together: each step takes the unfinished rows
+    whose active set is the first remaining row's as one group, members in
+    pending order, and repeats until no row is left; each group shares one
+    product with its pseudo-inverse.  Each row follows the iteration it
+    would follow alone, for at most ``max_iter`` steps, but its last bit
+    can depend on its batch: the LU solve and ``pinv @ M`` round a
+    one-column and a many-column M differently.
 
     One factorisation per support serves every row, every iteration and
     every later call on the same law: for an A of at most 2 KiB, the
@@ -113,15 +115,15 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
     on what was solved before.
 
     Raises:
-        InvalidArgumentError: mismatched shapes, a NaN or inf in A or b, or
-            ``max_iter`` not an integer >= 0.
+        InvalidArgumentError: mismatched shapes, an A with no columns (no
+            simplex), a NaN or inf in A or b, or ``max_iter`` not an integer >= 0.
         SolverNotConvergedError: some row still fails the KKT conditions
             after ``max_iter`` steps.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(b, dtype=float)
-    if A.ndim != 2 or B.ndim not in (1, 2) or B.shape[-1] != A.shape[0]:
-        raise InvalidArgumentError("A must be 2-d with rows matching b")
+    if A.ndim != 2 or not A.shape[1] or B.ndim not in (1, 2) or B.shape[-1] != A.shape[0]:
+        raise InvalidArgumentError("A must be 2-d with at least one column and rows matching b")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise InvalidArgumentError("A and b must be finite")
     single = B.ndim == 1
@@ -160,79 +162,67 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
     def support(mask):
         return _reduced_pinv(A, mask) if law is None else _cached_pinv(*law, mask.tobytes())
 
+    # Rows are read with ``take``, which copies them several times faster
+    # than indexing with an array.
     for _ in range(max_iter):
         if not pending.size:
             break
         # Solve the sum-constrained least squares on the free coordinates,
-        # once per distinct active set.
+        # once per distinct active set: peel off the rows sharing the first
+        # remaining row's, in pending order.
         X = np.zeros((pending.size, dim))
-        if pending.size == 1 or (active == active[0]).all():
-            rest, last, pinv = support(active[0])
-            y = pinv @ (B - A[:, last]).T
-            X[:, rest] = y.T
-            X[:, last] = 1.0 - y.sum(axis=0)
-        else:
-            packed = np.packbits(active, axis=1)
-            keys = packed.view(f"V{packed.shape[1]}").ravel()  # sorts far faster than unique(axis=0)
-            _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-            for g, mask in enumerate(active[first]):
-                members = np.flatnonzero(group == g)
-                rest, last, pinv = support(mask)
-                y = pinv @ (B[members] - A[:, last]).T
-                X[np.ix_(members, rest)] = y.T
-                X[members, last] = 1.0 - y.sum(axis=0)
+        left = np.arange(pending.size)
+        while left.size:
+            same = (active.take(left, axis=0) == active[left[0]]).all(axis=1)
+            members, left = left[same], left[~same]
+            rest, last, pinv = support(active[members[0]])
+            y = pinv @ (B.take(members, axis=0) - A[:, last]).T
+            X[members[:, None], rest] = y.T
+            X[members, last] = 1.0 - y.sum(axis=0)
         feasible = (X >= -_TOL).all(axis=1)
-        n_feasible = np.count_nonzero(feasible)
-        # A branch with every row takes them as a slice, without copies; one
-        # with none is skipped.  Each carries over the rows that go on.
-        carried = []
+        f, i = np.flatnonzero(feasible), np.flatnonzero(~feasible)
 
         # Feasible rows move to their solution, then release the pinned
-        # coordinate whose KKT multiplier is most negative.
-        if n_feasible:
-            f = slice(None) if n_feasible == pending.size else feasible
-            x = np.clip(X[f], 0.0, None)
-            P[pending[f]] = x
-            residual = x @ A.T - B[f]
+        # coordinate whose KKT multiplier is most negative.  A branch with no
+        # rows is skipped.
+        if f.size:
+            x = np.clip(X.take(f, axis=0), 0.0, None)
+            P[pending[f]] = Pp[f] = x
+            residual = x @ A.T - B.take(f, axis=0)
             value = 0.5 * np.sum(residual**2, axis=1)
             improved = value < best[f] - _TOL
-            best_f = np.where(improved, value, best[f])
-            tabu_f = tabu[f] & ~improved[:, None]
+            best[f[improved]] = value[improved]
+            tabu[f[improved]] = False
             grad = residual @ A
-            multiplier = grad - np.sum(x * grad, axis=1, keepdims=True)
-            active_f = active[f]
-            candidates = active_f & ~tabu_f & (multiplier < -_TOL)
-            releasing = np.flatnonzero(candidates.any(axis=1))
-            release = np.argmin(np.where(candidates, multiplier, np.inf), axis=1)[releasing]
-            at_release = np.arange(releasing.size), release
-            active_f = active_f[releasing]
-            active_f[at_release] = False
-            tabu_f = tabu_f[releasing]
-            tabu_f[at_release] = True
-            carried.append((pending[f][releasing], B[f][releasing], x[releasing], active_f, tabu_f, best_f[releasing]))
+            grad -= np.sum(x * grad, axis=1, keepdims=True)  # the multipliers
+            candidates = active.take(f, axis=0) & ~tabu.take(f, axis=0) & (grad < -_TOL)
+            releasing = candidates.any(axis=1)
+            release = np.argmin(np.where(candidates, grad, np.inf), axis=1)[releasing]
+            f = f[releasing]
+            active[f, release] = False
+            tabu[f, release] = True
 
         # Infeasible rows step toward their solution until the first free
         # coordinate hits zero, and pin that coordinate.
-        if n_feasible < pending.size:
-            i = ~feasible if n_feasible else slice(None)
-            x, p, active_i, tabu_i = X[i], Pp[i], active[i], tabu[i]
+        if i.size:
+            x, p = X.take(i, axis=0), Pp.take(i, axis=0)
             step = x - p
             shrinking = (step < 0) & (x < 0)  # x is 0 where pinned
             ratios = np.divide(p, -step, out=np.full_like(p, np.inf), where=shrinking)
             block = np.argmin(ratios, axis=1)
-            at_block = np.arange(block.size), block
-            alpha = np.minimum(1.0, ratios[at_block])
+            alpha = np.minimum(1.0, ratios[np.arange(i.size), block])
             moved = alpha > 0.0
-            moved = slice(None) if moved.all() else moved
-            p[moved] = np.clip(p[moved] + alpha[moved, None] * step[moved], 0.0, None)
-            tabu_i[moved] = False
-            p[at_block] = 0.0
-            active_i[at_block] = True
-            carried.append((pending[i], B[i], p, active_i, tabu_i, best[i]))
-        if len(carried) == 1:
-            pending, B, Pp, active, tabu, best = carried[0]
-        else:
-            pending, B, Pp, active, tabu, best = (np.concatenate(parts) for parts in zip(*carried))
+            # p + alpha step, clipped at 0, in step's own memory: no copies.
+            step *= alpha[:, None]
+            step += p
+            np.copyto(p, np.clip(step, 0.0, None, out=step), where=moved[:, None])
+            Pp[i] = p
+            Pp[i, block] = 0.0
+            active[i, block] = True
+            tabu[i[moved]] = False
+        # The rows that go on: the releasing feasible ones, then the infeasible.
+        keep = np.concatenate((f, i))
+        pending, B, Pp, active, tabu, best = (a.take(keep, axis=0) for a in (pending, B, Pp, active, tabu, best))
     if pending.size:
         raise SolverNotConvergedError(
             f"simplex least-squares did not converge in {max_iter} iterations "

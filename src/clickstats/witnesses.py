@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import ClickDistribution, CountRecord, DetectorModel
+from .detector import ClickDistribution, CountRecord, DetectorModel, seeded_rng
 from .distributions import PhotonDistribution, check_count, row_moments
 from .errors import InvalidArgumentError, UndefinedWitnessError
 
@@ -173,9 +173,9 @@ def poisson_bootstrap(
     rate without consuming the bit stream, so the rest see the same bits.
 
     Raises:
-        InvalidArgumentError: n_replicas not an integer >= 2, a negative
-            integer seed, counts beyond numpy's Poisson sampler (~9.2e18),
-            or a replica matrix too large to allocate.
+        InvalidArgumentError: n_replicas not an integer >= 2, a seed that
+            ``default_rng`` refuses, counts beyond numpy's Poisson sampler
+            (~9.2e18), or a replica matrix too large to allocate.
         UndefinedWitnessError: an empty record, no witness of the observed
             record, or < 2 defined replicas.
     """
@@ -188,9 +188,7 @@ def poisson_bootstrap(
         raise UndefinedWitnessError("count record is empty")
     value = one_row(rows, counts / total, getattr(rows, "why", "the record's witness is undefined"))
 
-    if isinstance(seed, (int, np.integer)):
-        check_count(seed, "seed")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     drawn = np.flatnonzero(counts)
     try:
         freqs = np.zeros((n_replicas, counts.size))

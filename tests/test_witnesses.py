@@ -229,6 +229,15 @@ def test_poisson_bootstrap_holds_one_replica_matrix():
     assert peak < 1.9 * matrix_bytes
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, np.int64(-3)])
+def test_samplers_reject_a_seed_numpy_refuses(seed):
+    # Both samplers take default_rng's seed rule; its refusal names the seed.
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        sample_counts(ClickDistribution(np.array([0.5, 0.5])), 100, seed)
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        mc_witness(CountRecord((5, 5, 5)), "Q_B", 10, seed)
+
+
 def test_bootstraps_reject_replica_matrices_too_large_to_allocate():
     # 10^15 replicas ask for petabytes: the allocation fails at once.
     rec = CountRecord((50, 5, 0))
