@@ -36,6 +36,9 @@ _MEAN_FLOOR = 1e-300
 #: Mean clicks this close to N leave the binomial witness no spread.
 _PINNED_GAP = 1e-15
 
+#: Floats per bootstrap replica block (256 KiB): 3,640 replicas at N = 8.
+_BLOCK_FLOATS = 2**15
+
 
 @dataclass(frozen=True, eq=False)
 class WitnessEstimate:
@@ -167,15 +170,18 @@ def poisson_bootstrap(
     ``default_rng(seed).poisson(counts, size=(n_replicas, N+1))``; those
     with zero total are dropped, and ``rows`` scores the rest.
 
-    The non-zero columns are drawn into one float matrix of zeros, then
-    normalised in place (peak: that matrix plus the int64 draw).  This is
-    the full draw bit for bit: numpy's Poisson sampler returns 0 for a zero
-    rate without consuming the bit stream, so the rest see the same bits.
+    The replicas are drawn, normalised and scored in blocks of
+    ``_BLOCK_FLOATS`` floats, so the peak is the scores, twice while they
+    are joined, plus a few blocks, whatever ``n_replicas``.  Each block's
+    non-zero columns are drawn into a float block of zeros, normalised in
+    place.  This is the full draw bit for bit: consecutive draws continue
+    one stream, and numpy's Poisson sampler returns 0 for a zero rate
+    without consuming it.
 
     Raises:
         InvalidArgumentError: n_replicas not an integer >= 2, a seed that
             ``default_rng`` refuses, counts beyond numpy's Poisson sampler
-            (~9.2e18), or a replica matrix too large to allocate.
+            (~9.2e18), or more replicas than their scores can fit in memory.
         UndefinedWitnessError: an empty record, no witness of the observed
             record, or < 2 defined replicas.
     """
@@ -191,19 +197,25 @@ def poisson_bootstrap(
     rng = seeded_rng(seed)
     drawn = np.flatnonzero(counts)
     try:
-        freqs = np.zeros((n_replicas, counts.size))
-        freqs[:, drawn] = rng.poisson(lam=counts[drawn], size=(n_replicas, drawn.size))
+        np.empty(n_replicas)  # the scores must fit before the first block is drawn
     except MemoryError:
         raise InvalidArgumentError(
-            f"{n_replicas} replicas of {counts.size} counts do not fit in memory"
+            f"the scores of {n_replicas} replicas do not fit in memory"
         ) from None
-    except ValueError as exc:
-        raise InvalidArgumentError(f"counts or n_replicas too large to resample: {exc}") from None
-    totals = freqs.sum(axis=1)
-    if not totals.all():  # copy the rows only when some replica is empty
-        freqs, totals = freqs[totals > 0], totals[totals > 0]
-    freqs /= totals[:, None]
-    samples = rows(freqs)
+    block = max(1, _BLOCK_FLOATS // counts.size)
+    samples = []  # the scores of each block, then their concatenation
+    for start in range(0, n_replicas, block):
+        freqs = np.zeros((min(block, n_replicas - start), counts.size))
+        try:
+            freqs[:, drawn] = rng.poisson(lam=counts[drawn], size=(freqs.shape[0], drawn.size))
+        except ValueError as exc:
+            raise InvalidArgumentError(f"counts too large to resample: {exc}") from None
+        totals = freqs.sum(axis=1)
+        if not totals.all():  # copy the rows only when some replica is empty
+            freqs, totals = freqs[totals > 0], totals[totals > 0]
+        freqs /= totals[:, None]
+        samples.append(rows(freqs))
+    samples = np.concatenate(samples)
     if samples.size < 2:
         raise UndefinedWitnessError(
             f"only {samples.size} of {n_replicas} replicas gave a defined witness"

@@ -413,3 +413,19 @@ def delta_method_std(counts, witness):
     """Std of Q_B or Q_F under independent Poisson counts: sqrt(sum_i (dQ/dn_i)^2 n_i)."""
     grad = click_witness_gradient(counts, witness)
     return float(np.sqrt(np.sum(grad**2 * np.asarray(counts, dtype=float))))
+
+
+def delta_method_std_of_rows(rows, counts):
+    """Std of any witness under independent Poisson counts, from its rows function.
+
+    One call of ``rows`` on the 2(N+1) rows (n +- h e_i) / (T +- h), with
+    h = 1e-6 T, gives dQ/dn_i by central differences; the std is then
+    sqrt(sum_i (dQ/dn_i)^2 n_i), as in ``delta_method_std``.
+    """
+    n = np.asarray(counts, dtype=float)
+    total, h = n.sum(), 1e-6 * n.sum()
+    steps = h * np.eye(n.size)
+    values = rows(np.vstack([(n + steps) / (total + h), (n - steps) / (total - h)]))
+    assert values.size == 2 * n.size, "the witness must be defined on every shifted row"
+    grad = (values[: n.size] - values[n.size :]) / (2 * h)
+    return float(np.sqrt(np.sum(grad**2 * n)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clickstats import (
+    CatalysisSweepConfig,
     ClickDistribution,
     CountRecord,
     DetectorModel,
@@ -17,12 +18,13 @@ from clickstats import (
     q_binomial,
     q_fake,
     q_mandel,
+    run_catalysis_sweep,
     sample_counts,
     thermal_pn,
     witness_from_counts,
 )
-from clickstats.witnesses import WITNESSES, poisson_bootstrap, witness_rows
-from oracles import click_witness_gradient, click_witness_of_counts, delta_method_std
+from clickstats.witnesses import _BLOCK_FLOATS, WITNESSES, poisson_bootstrap, witness_rows
+from oracles import click_witness_gradient, click_witness_of_counts, delta_method_std, delta_method_std_of_rows
 
 
 def test_q_mandel_anchors():
@@ -199,34 +201,47 @@ def test_bootstraps_reject_counts_too_large_to_resample():
         (900, 0, 40, 0, 3, 0, 0),  # zeros in the middle and at the tail
         (0, 0, 7, 0, 0),  # every count but one is zero
         (12, 5, 0, 0, 0, 0, 0, 0, 0),
-        (1, 0, 0, 1),  # 57 of the 400 replicas total 0 and are dropped
+        (1, 0, 0, 1),  # 1,640 replicas total 0 and are dropped: 1,122 and 518 in its two blocks
+        (1, 0, 0, 0, 0, 0, 0, 0, 1),  # four blocks of 3,640 rows, dropping 498, 489, 497 and 156
     ],
 )
 def test_poisson_bootstrap_replicas_equal_the_full_documented_draw(counts):
-    # Only non-zero counts are drawn; that matches the full draw only while
-    # numpy consumes no randomness for a zero rate.
-    est = poisson_bootstrap(CountRecord(counts), np.ravel, n_replicas=400, seed=17)
-    full = np.random.default_rng(17).poisson(np.array(counts, dtype=float), size=(400, len(counts)))
+    # Only non-zero counts are drawn, one block at a time; that matches the
+    # full draw only while numpy consumes no randomness for a zero rate and
+    # each block's draw continues the stream where the last one stopped.
+    est = poisson_bootstrap(CountRecord(counts), np.ravel, n_replicas=12_000, seed=17)
+    full = np.random.default_rng(17).poisson(np.array(counts, dtype=float), size=(12_000, len(counts)))
     totals = full.sum(axis=1, dtype=float)
     expected = full[totals > 0] / totals[totals > 0, None]
     assert np.array_equal(est.samples, expected.ravel())
 
 
-def test_poisson_bootstrap_holds_one_replica_matrix():
-    # The float replicas are normalised in place: the peak is that matrix
-    # and the int64 draw of the six non-zero columns (1.67 x), not an int64
-    # matrix and its float copy (2.22 x).
-    record = CountRecord((900, 300, 40, 6, 3, 1, 0, 0, 0))
-    matrix_bytes = 20_000 * 9 * 8
-    first = lambda f: f[:, 0].copy()
-    poisson_bootstrap(record, first, 2, 3)  # numpy's first seeded draw imports modules
+_BLOCK_BYTES = 8 * _BLOCK_FLOATS
+_Q_M_RECORD = CountRecord((26948, 17321, 4644, 749, 80, 7, 0, 0, 0))  # every replica enters the active set
+
+
+@pytest.mark.parametrize(
+    "bootstrap, n_replicas",
+    [
+        (lambda n: mc_witness(CountRecord((900, 300, 40, 6, 3, 1, 0, 0, 0)), "Q_B", n, 3), 200_000),
+        (lambda n: mc_q_mandel_from_clicks(_Q_M_RECORD, DetectorModel(8, efficiency=0.3, dark_click_prob=0.001), 8, n, 3), 50_000),
+    ],
+    ids=["Q_B", "Q_M"],
+)
+def test_poisson_bootstrap_memory_does_not_grow_with_the_replica_matrix(bootstrap, n_replicas):
+    # Replicas are drawn, normalised and scored a block at a time: the peak
+    # is the scores and their concatenation (8 bytes a replica each) plus a
+    # few blocks.  Q_M's active set holds about 13 copies of its block.
+    # Drawing the whole replica matrix at once peaked at 25.8 (Q_B) and
+    # 49.3 MB (Q_M) on these cases.
+    bootstrap(2)  # numpy's first seeded draw imports modules
     tracemalloc.start()
     try:
-        poisson_bootstrap(record, first, 20_000, 3)
+        bootstrap(n_replicas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.9 * matrix_bytes
+    assert peak < 2 * 8 * n_replicas + 16 * _BLOCK_BYTES
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, np.int64(-3)])
@@ -274,6 +289,8 @@ def test_delta_method_gradient_matches_central_differences():
                 for h, e in zip(steps, np.eye(n.size))
             ]
             np.testing.assert_allclose(grad, central, rtol=0, atol=1e-6 * np.abs(grad).max())
+            generic = delta_method_std_of_rows(witness_rows(witness, record.n_bins), n)
+            assert generic == pytest.approx(delta_method_std(n, witness), rel=1e-6)
 
 
 def test_click_bootstrap_errors_match_the_delta_method():
@@ -285,3 +302,15 @@ def test_click_bootstrap_errors_match_the_delta_method():
         for witness in ("Q_B", "Q_F"):
             est = mc_witness(record, witness, n_replicas=10_000, seed=1000 + k)
             assert 0.96 < est.std_error / delta_method_std(record.counts, witness) < 1.04
+
+
+def test_q_mandel_bootstrap_errors_match_the_delta_method():
+    # The default sweep's physics at two reflectivities, 10k replicas (three
+    # blocks), against central differences of the same rows function.  Over
+    # 30 sweep seeds the ratio spanned 0.985-1.012 at R = 0.7 and 0.980-1.060
+    # at R = 0.15, where 2 of 30 exceeded 1.04: tail counts of 0-12 leave
+    # the linearised error loose there.
+    config = CatalysisSweepConfig(reflectivities=(0.15, 0.7))
+    rows = witness_rows("Q_M", config.n_bins, config.signal_detector())
+    for point in run_catalysis_sweep(config).points:
+        assert 0.96 < point.q_m.std_error / delta_method_std_of_rows(rows, point.record.counts) < 1.04
