@@ -104,8 +104,7 @@ def _cmd_invert(args) -> int:
     if args.format == "csv":
         text = cio.photon_distribution_to_csv(result.distribution())
     else:
-        payload = cio.envelope("inversion", **cio.to_plain(result), negative_mass=result.negative_mass)
-        text = cio.to_json(payload)
+        text = cio.to_json(cio.envelope("inversion", **cio.to_plain(result)))
     _write_output(args, text)
     return 0
 

@@ -23,7 +23,7 @@ be divided out.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -43,6 +43,9 @@ _NEGATIVE_MASS_ATOL = 1e-9
 
 #: ``lstsq_simplex``'s tolerance on negative entries, the sum, KKT multipliers and progress.
 _TOL = 1e-12
+
+#: ``lstsq_simplex``'s step budget: 100 (n + 1) active-set steps for n coordinates.
+_STEPS_PER_COORDINATE = 100
 
 
 #: Laws of at most this many bytes have their reduced pseudo-inverses cached,
@@ -74,7 +77,7 @@ def _cached_pinv(shape: tuple, law: bytes, mask: bytes) -> tuple:
     return rest, last, pinv
 
 
-def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
+def lstsq_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimize ||A p - b||_2 over the probability simplex, for one or many b.
 
     ``b`` is one right-hand side of shape (m,), giving p of shape (n,), or a
@@ -101,7 +104,7 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
     whose active set is the first remaining row's as one group, members in
     pending order, and repeats until no row is left; each group shares one
     product with its pseudo-inverse.  Each row follows the iteration it
-    would follow alone, for at most ``max_iter`` steps, but its last bit
+    would follow alone, for at most 100 (n + 1) steps, but its last bit
     can depend on its batch: the LU solve and ``pinv @ M`` round a
     one-column and a many-column M differently.
 
@@ -116,9 +119,9 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
 
     Raises:
         InvalidArgumentError: mismatched shapes, an A with no columns (no
-            simplex), a NaN or inf in A or b, or ``max_iter`` not an integer >= 0.
+            simplex), or a NaN or inf in A or b.
         SolverNotConvergedError: some row still fails the KKT conditions
-            after ``max_iter`` steps.
+            after 100 (n + 1) steps.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(b, dtype=float)
@@ -129,7 +132,7 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> 
     single = B.ndim == 1
     B = np.atleast_2d(B)
     rows, dim = B.shape[0], A.shape[1]
-    max_iter = 100 * dim + 100 if max_iter is None else check_count(max_iter, "max_iter")
+    max_iter = _STEPS_PER_COORDINATE * (dim + 1)
 
     # Each row's solution lands in P when the row finishes.
     P = np.empty((rows, dim))
@@ -245,15 +248,13 @@ class InversionResult:
     residual_norm: float
     condition_number: float
     method: str
+    negative_mass: float = field(init=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def negative_mass(self) -> float:
-        return float(-np.clip(self.probs, None, 0.0).sum())
+        object.__setattr__(self, "negative_mass", float(-np.clip(probs, None, 0.0).sum()))
 
     def distribution(self) -> PhotonDistribution:
         """The solution as a normalized distribution.

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -24,6 +25,7 @@ from clickstats import (
     mc_q_mandel_from_clicks,
 )
 from clickstats.cli import build_parser, main
+from clickstats.inversion import InversionResult
 from clickstats.io import (
     click_distribution_to_csv,
     count_record_to_csv,
@@ -298,6 +300,8 @@ def test_invert_json_and_csv(tmp_path, capsys):
     path.write_text(click_distribution_to_csv(c))
     base = ["invert", "--input", str(path), "--detector", "ideal:4", "--n-max", "4"]
     payload = json.loads(run_ok(capsys, base))
+    names = {f.name for f in dataclasses.fields(InversionResult)}
+    assert set(payload) == {"schema_version", "kind"} | names
     assert payload["kind"] == "inversion"
     assert payload["method"] == "constrained"
     np.testing.assert_allclose(payload["probs"], p.probs, atol=1e-9)
@@ -307,6 +311,21 @@ def test_invert_json_and_csv(tmp_path, capsys):
     assert out.startswith("n,probability\n")
     values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
     np.testing.assert_allclose(values, p.probs, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["invert", "--detector", "ideal:2", "--n-max", "2"], "invalid-argument: count record is empty"),
+        (["witness", "--replicas", "20"], "undefined-witness: count record is empty"),
+    ],
+    ids=["invert", "witness"],
+)
+def test_an_all_zero_count_record_is_refused(tmp_path, capsys, argv, message):
+    path = tmp_path / "counts.csv"
+    path.write_text(count_record_to_csv(CountRecord((0, 0, 0))))
+    assert main([*argv, "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_invert_reports_ill_conditioning(tmp_path, capsys):

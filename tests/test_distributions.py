@@ -28,6 +28,9 @@ def test_photon_distribution_validates_and_freezes():
     assert clipped[1] == 0.0 and not np.signbit(clipped[1])
     with pytest.raises(InvalidArgumentError, match="photon-number probabilities must be >= 0"):
         PhotonDistribution(np.array([0.25, -1e-11, 0.75]))
+    for bad in (np.array([[0.5, 0.5]]), np.array([])):
+        with pytest.raises(InvalidArgumentError, match="non-empty 1-d vector"):
+            PhotonDistribution(bad)
 
 
 @pytest.mark.parametrize("mu", [0.1, 1.0, 5.0])
@@ -60,7 +63,7 @@ def test_coherent_mean_beyond_hard_limit_overflows():
             coherent_pn(mu)
 
 
-@pytest.mark.parametrize("mu", [0.2, 1.0, 3.0])
+@pytest.mark.parametrize("mu", [0.0, 0.2, 1.0, 3.0])  # 0: the vacuum, all mass at n = 0
 def test_thermal_matches_geometric(mu):
     p = thermal_pn(mu, n_max=200)
     r = mu / (1.0 + mu)
@@ -108,6 +111,10 @@ def test_moments_stable_under_cutoff_doubling():
 def test_cutoff_overflow_raises():
     with pytest.raises(CutoffOverflowError):
         thermal_pn(50.0)
+    beyond = HARD_CUTOFF_LIMIT + 1
+    for build in (lambda: thermal_pn(0.5, n_max=beyond), lambda: fock_pn(1, n_max=beyond)):
+        with pytest.raises(CutoffOverflowError, match=f"requested cutoff {beyond} exceeds hard limit"):
+            build()
 
 
 def test_explicit_cutoff_renormalizes():

@@ -60,6 +60,8 @@ def test_click_csv_round_trip_is_exact():
 def test_count_csv_round_trip():
     rec = CountRecord((4, 0, 17, 3))
     assert count_record_from_csv(count_record_to_csv(rec)).counts == rec.counts
+    # A blank line between rows is skipped.
+    assert count_record_from_csv("clicks,count\n0,4\n\n1,0\n").counts == (4, 0)
 
 
 def test_sniffing_dispatches_on_header():
