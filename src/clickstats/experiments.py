@@ -22,7 +22,7 @@ each bootstrap), so results are reproducible and rows are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,10 +178,6 @@ def run_tmsv(config: TmsvConfig) -> TmsvResult:
     return TmsvResult(config=config, joint=joint, rows=tuple(rows))
 
 
-def _default_reflectivities() -> tuple[float, ...]:
-    return tuple(float(r) for r in np.round(np.linspace(0.0, 1.0, 21), 10))
-
-
 @dataclass(frozen=True)
 class CatalysisSweepConfig:
     """Catalysis sweep configuration.
@@ -193,7 +189,7 @@ class CatalysisSweepConfig:
     """
 
     alpha: float = 2.449489742783178  # mean photon number 6 at the input
-    reflectivities: tuple[float, ...] = field(default_factory=_default_reflectivities)
+    reflectivities: tuple[float, ...] = tuple(float(r) for r in np.round(np.linspace(0.0, 1.0, 21), 10))
     herald_k: int = 1
     herald_detector: DetectorModel | None = None
     n_bins: int = 8

@@ -113,16 +113,13 @@ def catalysis_conditional_pn(
     joint = psi * psi
     n_a = m + 1
     if herald_detector is None:
-        weights = np.zeros(n_a + 1)
-        if herald_k <= n_a:
-            weights[herald_k] = 1.0
+        unnorm = joint[herald_k] if herald_k <= n_a else np.zeros(n_a + 1)
     else:
         if herald_k > herald_detector.n_bins:
             raise InvalidArgumentError(
                 f"herald_k={herald_k} exceeds the detector's {herald_detector.n_bins} bins"
             )
-        weights = click_matrix(herald_detector, n_a)[herald_k]
-    unnorm = weights @ joint
+        unnorm = click_matrix(herald_detector, n_a)[herald_k] @ joint
     prob = float(unnorm.sum())
     if prob < DEGENERATE_PROB:
         raise DegenerateConditioningError(

@@ -209,17 +209,17 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         # coordinate hits zero, and pin that coordinate.
         if i.size:
             x, p = X.take(i, axis=0), Pp.take(i, axis=0)
+            # p >= 0, so a coordinate with x < 0 shrinks (x - p < 0) and
+            # reaches zero at a ratio p / (p - x) <= 1.
             step = x - p
-            shrinking = (step < 0) & (x < 0)  # x is 0 where pinned
-            ratios = np.divide(p, -step, out=np.full_like(p, np.inf), where=shrinking)
+            ratios = np.divide(p, -step, out=np.full_like(p, np.inf), where=x < 0)
             block = np.argmin(ratios, axis=1)
-            alpha = np.minimum(1.0, ratios[np.arange(i.size), block])
+            alpha = ratios[np.arange(i.size), block]
             moved = alpha > 0.0
-            # p + alpha step, clipped at 0, in step's own memory: no copies.
+            # A row with alpha = 0 keeps p: p + 0 step is p, up to the sign of a zero.
             step *= alpha[:, None]
             step += p
-            np.copyto(p, np.clip(step, 0.0, None, out=step), where=moved[:, None])
-            Pp[i] = p
+            Pp[i] = np.clip(step, 0.0, None, out=step)
             Pp[i, block] = 0.0
             active[i, block] = True
             tabu[i[moved]] = False

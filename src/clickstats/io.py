@@ -1,6 +1,7 @@
 """File formats and spec-string parsing for the command line tools.
 
-Three small CSV dialects, distinguished by their exact header:
+Three small CSV dialects, distinguished by their header, which every
+reader matches after CSV unquoting and trimming spaces:
 
 - ``n,probability``: a photon-number distribution.
 - ``clicks,probability``: a click distribution.
@@ -68,7 +69,13 @@ def count_record_to_csv(record: CountRecord) -> str:
     return _format_rows(_COUNTS_HEADER, enumerate(record.counts))
 
 
-def _parse_rows(text: str, expected_header, convert):
+def _parse_rows(text: str, parsers: dict):
+    """The matched header and the values, indexed 0..K, of an ``index,value`` CSV.
+
+    ``parsers`` maps each accepted header, a tuple of column names, to the
+    parser of its value column; a header matches after CSV unquoting and
+    trimming spaces.
+    """
     try:
         rows = list(csv.reader(_io.StringIO(text)))
     except csv.Error as exc:  # e.g. a bare "\r" inside a row
@@ -76,10 +83,11 @@ def _parse_rows(text: str, expected_header, convert):
     if not rows:
         raise InvalidArgumentError("empty CSV")
     header, *rows = rows
-    if tuple(h.strip() for h in header) != expected_header:
-        raise InvalidArgumentError(
-            f"expected CSV header {','.join(expected_header)!r}, got {','.join(header)!r}"
-        )
+    key = tuple(h.strip() for h in header)
+    if key not in parsers:
+        expected = " or ".join(repr(",".join(h)) for h in parsers)
+        raise InvalidArgumentError(f"expected CSV header {expected}, got {','.join(header)!r}")
+    convert = parsers[key]
     values = []
     for row in rows:
         if not row:
@@ -97,33 +105,25 @@ def _parse_rows(text: str, expected_header, convert):
         values.append(val)
     if not values:
         raise InvalidArgumentError("CSV has a header but no rows")
-    return values
+    return key, values
 
 
 def photon_distribution_from_csv(text: str) -> PhotonDistribution:
-    return PhotonDistribution(np.array(_parse_rows(text, _PHOTON_HEADER, float)))
+    return PhotonDistribution(np.array(_parse_rows(text, {_PHOTON_HEADER: float})[1]))
 
 
 def click_distribution_from_csv(text: str) -> ClickDistribution:
-    return ClickDistribution(np.array(_parse_rows(text, _CLICKS_HEADER, float)))
+    return ClickDistribution(np.array(_parse_rows(text, {_CLICKS_HEADER: float})[1]))
 
 
 def count_record_from_csv(text: str) -> CountRecord:
-    return CountRecord(tuple(_parse_rows(text, _COUNTS_HEADER, int)))
+    return CountRecord(tuple(_parse_rows(text, {_COUNTS_HEADER: int})[1]))
 
 
 def sniff_click_csv(text: str) -> ClickDistribution | CountRecord:
     """Read a click CSV as probabilities or counts, keyed on its header."""
-    first = text.split("\n", 1)[0].strip()
-    header = tuple(h.strip() for h in first.split(","))
-    if header == _CLICKS_HEADER:
-        return click_distribution_from_csv(text)
-    if header == _COUNTS_HEADER:
-        return count_record_from_csv(text)
-    raise InvalidArgumentError(
-        f"expected a {','.join(_CLICKS_HEADER)!r} or {','.join(_COUNTS_HEADER)!r} CSV, "
-        f"got header {first!r}"
-    )
+    header, values = _parse_rows(text, {_CLICKS_HEADER: float, _COUNTS_HEADER: int})
+    return ClickDistribution(np.array(values)) if header == _CLICKS_HEADER else CountRecord(tuple(values))
 
 
 def parse_source_spec(spec: str, n_max: int | None = None) -> PhotonDistribution:

@@ -328,6 +328,21 @@ def test_an_all_zero_count_record_is_refused(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["witness", "--replicas", "50", "--seed", "1"], ["invert", "--detector", "ideal:2", "--n-max", "2"]],
+    ids=["witness", "invert"],
+)
+def test_a_quoted_count_csv_header_reads_as_the_plain_one(tmp_path, capsys, argv):
+    plain = count_record_to_csv(CountRecord((5, 9, 3)))
+    path = tmp_path / "counts.csv"
+    outputs = []
+    for text in (plain, plain.replace("clicks,count", '"clicks","count"', 1)):
+        path.write_text(text)
+        outputs.append(run_ok(capsys, [*argv, "--input", str(path)]))
+    assert outputs[0] == outputs[1]
+
+
 def test_invert_reports_ill_conditioning(tmp_path, capsys):
     c = forward_clicks(fock_pn(1), DetectorModel.ideal(4))
     path = tmp_path / "clicks.csv"

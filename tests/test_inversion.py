@@ -99,6 +99,38 @@ def test_batched_lstsq_simplex_rows_match_single_calls_and_enumeration(data):
             np.testing.assert_allclose(x, single, rtol=0, atol=1e-9)
 
 
+def test_lstsq_simplex_anti_cycling_rule_finishes_near_duplicate_columns():
+    # A 6 x 8 column-stochastic law whose columns 3 and 7 are equal, 1 and 6
+    # within 4.5e-15 and 4 and 5 within 8.5e-11, and b a Dirichlet(0.3)
+    # mixture of its columns.  The active set cycles through these pairs
+    # unless a released coordinate stays barred until the objective improves
+    # and a zero-length step leaves the bars in place: without either rule
+    # the solver runs out of steps.
+    A = np.array([
+        [0.011648748694595526, 0.12937741744415884, 0.024100824569282666, 0.11182505976260458,
+         0.13061084553951538, 0.130610845567292, 0.1293774174441566, 0.11182505976260458],
+        [0.003333966697117072, 0.21350508712865376, 0.014816260172615652, 0.05292167450730941,
+         0.20073148521799078, 0.20073148515597397, 0.2135050871286493, 0.05292167450730941],
+        [0.04641647677255289, 0.30351785316334545, 0.339999900565764, 0.3637686519169307,
+         0.05847732230527401, 0.05847732238040531, 0.3035178531633462, 0.3637686519169307],
+        [0.3788140636583158, 0.04875123285345562, 0.27306999397490545, 0.40958501113544665,
+         0.32380067596119577, 0.32380067587625044, 0.04875123285345455, 0.40958501113544665],
+        [0.23662651381049, 0.15916476264063303, 0.017106105449168966, 0.013690682283457302,
+         0.022361742532324737, 0.022361742612320205, 0.15916476264063656, 0.013690682283457302],
+        [0.3231602303669287, 0.14568364676975348, 0.3309069152682632, 0.04820892039425135,
+         0.2640179284436993, 0.2640179284077579, 0.14568364676975684, 0.04820892039425135],
+    ])
+    b = np.array([
+        0.11326470018349777, 0.09484241231381392, 0.26475064447155605,
+        0.3783417354114327, 0.027350457750914627, 0.12145004986878484,
+    ])
+    x = lstsq_simplex(A, b)
+    assert (x >= 0).all()
+    assert x.sum() == pytest.approx(1.0, abs=1e-12)
+    # Near-duplicate columns leave the minimiser non-unique: compare objectives.
+    assert objective(A, x, b) == pytest.approx(objective(A, lstsq_simplex_by_enumeration(A, b), b), abs=1e-12)
+
+
 def test_lstsq_simplex_returns_an_all_feasible_square_batch_from_the_lu_solve():
     L = click_matrix(DetectorModel(8, efficiency=0.9, dark_click_prob=0.01), 8)
     rng = np.random.default_rng(29)

@@ -66,8 +66,10 @@ def test_count_csv_round_trip():
 
 def test_sniffing_dispatches_on_header():
     c = ClickDistribution(np.array([0.5, 0.25, 0.25]))
-    assert isinstance(sniff_click_csv(click_distribution_to_csv(c)), ClickDistribution)
-    assert isinstance(sniff_click_csv(count_record_to_csv(CountRecord((1, 2)))), CountRecord)
+    for text in (click_distribution_to_csv(c), '"clicks","probability"\n0,0.5\n1,0.25\n2,0.25\n'):
+        assert np.array_equal(sniff_click_csv(text).probs, c.probs)
+    for text in (count_record_to_csv(CountRecord((1, 2))), '"clicks","count"\n0,1\n1,2\n'):
+        assert sniff_click_csv(text) == CountRecord((1, 2))
     with pytest.raises(InvalidArgumentError):
         sniff_click_csv("n,probability\n0,1.0\n")
 
@@ -107,6 +109,16 @@ def test_csv_with_a_bare_carriage_return_in_a_row_is_invalid_argument(header, re
     # The csv module raises csv.Error for a "\r" inside an unquoted row.
     with pytest.raises(InvalidArgumentError, match="malformed CSV"):
         read(f"{header}\n0,1\r1,0\n")
+
+
+@pytest.mark.parametrize(
+    "header,read", [(header, read) for header, readers in CSV_READERS.items() for read in readers]
+)
+def test_every_reader_matches_its_header_after_unquoting_and_trimming(header, read):
+    names = header.split(",")
+    body = "0,1\n1,0\n"
+    for variant in (",".join(f'"{n}"' for n in names), ",".join(f" {n} " for n in names)):
+        assert to_plain(read(f"{variant}\n{body}")) == to_plain(read(f"{header}\n{body}"))
 
 
 def test_parse_source_spec():

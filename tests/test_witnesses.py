@@ -86,6 +86,12 @@ def test_click_witnesses_undefined_at_pinned_means():
         q_binomial(vacuum)
     with pytest.raises(UndefinedWitnessError, match="pinned at 0 or N"):
         q_binomial(everything)
+    # A mean within round-off of N (8 - 8.9e-16) leaves a variance of pure
+    # round-off: still pinned, where the bare formula would read Q_B = -1.
+    nearly_everything = np.zeros(9)
+    nearly_everything[7:] = 1e-15, 1.0 - 1e-15
+    with pytest.raises(UndefinedWitnessError, match="pinned at 0 or N"):
+        q_binomial(ClickDistribution(nearly_everything))
     with pytest.raises(UndefinedWitnessError, match="mean click number is 0"):
         q_fake(vacuum)
 
