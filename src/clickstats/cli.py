@@ -6,7 +6,9 @@ the detector model, ``witness`` and ``invert`` the analysis side,
 full simulated experiments.  All randomness flows from ``--seed``; rerunning
 any command with the same arguments writes byte-identical output.
 
-Domain errors exit with status 1 and a single ``error: <code>: <message>``
+Each subcommand maps its parsed arguments to its output text, and
+``main`` writes that text to ``--output`` (stdout by default) or, on a
+domain error, exits with status 1 and a single ``error: <code>: <message>``
 line on stderr; argparse usage errors keep their usual status 2.
 """
 
@@ -49,32 +51,24 @@ def _read_input(path: str) -> str:
         raise InvalidArgumentError(f"cannot read the input: {exc}") from None
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> str:
     det = cio.parse_detector_spec(args.detector)
     L = click_matrix(det, args.n_max)
     if args.format == "json":
-        text = cio.to_json(cio.envelope("click_matrix", detector=det, n_max=args.n_max, matrix=L))
-    else:
-        text = cio.matrix_to_csv(L)
-    _write_output(args, text)
-    return 0
+        return cio.to_json(cio.envelope("click_matrix", detector=det, n_max=args.n_max, matrix=L))
+    return cio.matrix_to_csv(L)
 
 
-def _source_distribution(args):
-    if args.source is not None:
-        return cio.parse_source_spec(args.source, n_max=args.n_max)
-    return cio.photon_distribution_from_csv(_read_input(args.input))
-
-
-def _cmd_forward(args) -> int:
+def _cmd_forward(args) -> str:
     det = cio.parse_detector_spec(args.detector)
-    p = _source_distribution(args)
-    c = forward_clicks(p, det)
-    _write_output(args, cio.click_distribution_to_csv(c))
-    return 0
+    if args.source is not None:
+        p = cio.parse_source_spec(args.source, n_max=args.n_max)
+    else:
+        p = cio.photon_distribution_from_csv(_read_input(args.input))
+    return cio.click_distribution_to_csv(forward_clicks(p, det))
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> str:
     from .witnesses import one_row, poisson_bootstrap, witness_rows
 
     data = cio.sniff_click_csv(_read_input(args.input))
@@ -84,32 +78,25 @@ def _cmd_witness(args) -> int:
         body = cio.to_plain(poisson_bootstrap(data, rows, args.replicas, args.seed))
     else:
         body = {"value": one_row(rows, data.probs, rows.why)}
-    _write_output(args, cio.to_json(cio.envelope("witness", witness=args.witness, **body)))
-    return 0
+    return cio.to_json(cio.envelope("witness", witness=args.witness, **body))
 
 
-def _cmd_invert(args) -> int:
+def _cmd_invert(args) -> str:
     from .inversion import invert_clicks
 
     data = cio.sniff_click_csv(_read_input(args.input))
     if isinstance(data, CountRecord):
-        counts = np.asarray(data.counts, dtype=float)
-        if counts.sum() <= 0:
+        if data.total_events <= 0:
             raise InvalidArgumentError("count record is empty")
-        clicks = ClickDistribution(counts / counts.sum())
-    else:
-        clicks = data
+        data = ClickDistribution(np.asarray(data.counts, dtype=float) / data.total_events)
     det = cio.parse_detector_spec(args.detector)
-    result = invert_clicks(clicks, det, args.n_max, method=args.method)
+    result = invert_clicks(data, det, args.n_max, method=args.method)
     if args.format == "csv":
-        text = cio.photon_distribution_to_csv(result.distribution())
-    else:
-        text = cio.to_json(cio.envelope("inversion", **cio.to_plain(result)))
-    _write_output(args, text)
-    return 0
+        return cio.photon_distribution_to_csv(result.distribution())
+    return cio.to_json(cio.envelope("inversion", **cio.to_plain(result)))
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> str:
     if args.source is not None:
         if args.detector is None:
             raise InvalidArgumentError("--source needs --detector to produce clicks")
@@ -118,12 +105,10 @@ def _cmd_sample(args) -> int:
         c = forward_clicks(p, det)
     else:
         c = cio.click_distribution_from_csv(_read_input(args.input))
-    record = sample_counts(c, args.events, args.seed)
-    _write_output(args, cio.count_record_to_csv(record))
-    return 0
+    return cio.count_record_to_csv(sample_counts(c, args.events, args.seed))
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> str:
     # ``clickstats.io`` and ``clickstats.experiments`` functions are looked
     # up by name at call time, so wrappers installed on them are seen.
     from . import experiments
@@ -136,13 +121,9 @@ def _cmd_experiment(args) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
     result = getattr(experiments, _EXPERIMENTS[stem][0])(config)
-    text = (
-        getattr(cio, f"{stem}_result_to_csv")(result)
-        if args.format == "csv"
-        else cio.to_json(getattr(cio, f"{stem}_result_to_dict")(result))
-    )
-    _write_output(args, text)
-    return 0
+    if args.format == "csv":
+        return getattr(cio, f"{stem}_result_to_csv")(result)
+    return cio.to_json(getattr(cio, f"{stem}_result_to_dict")(result))
 
 
 #: Experiment subcommand, which is also the stem of its ``clickstats.io``
@@ -153,14 +134,15 @@ _EXPERIMENTS = {
 }
 
 
-def _add_output_options(sub, default_format="csv"):
+def _add_output_options(sub, default_format=None):
     sub.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
-    sub.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default=default_format,
-        help=f"output format (default: {default_format})",
-    )
+    if default_format is not None:
+        sub.add_argument(
+            "--format",
+            choices=("csv", "json"),
+            default=default_format,
+            help=f"output format (default: {default_format})",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="print the conditional click law P(clicks | photons)")
     p.add_argument("--detector", required=True, help="ideal:N or uniform:N,ETA[,DARK]")
     p.add_argument("--n-max", type=int, required=True, help="largest photon number column")
-    _add_output_options(p)
+    _add_output_options(p, default_format="csv")
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("forward", help="map a photon distribution to click statistics")
@@ -182,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--input", help="photon distribution CSV (n,probability)")
     p.add_argument("--n-max", type=int, default=None, help="cutoff for --source")
     p.add_argument("--detector", required=True)
-    p.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
+    _add_output_options(p)
     p.set_defaults(func=_cmd_forward)
 
     p = sub.add_parser("witness", help="score a click CSV with a witness")
@@ -192,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None, help="inversion support for Q_M")
     p.add_argument("--replicas", type=int, default=10_000, help="bootstrap size for counts input")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", "-o", default=None)
+    _add_output_options(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("invert", help="recover photon statistics from clicks")
@@ -211,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--events", type=float, required=True, help="expected total event count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", "-o", default=None)
+    _add_output_options(p)
     p.set_defaults(func=_cmd_sample)
 
     for command, (_, help_text) in _EXPERIMENTS.items():
@@ -230,10 +212,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _write_output(args, args.func(args))
     except ClickStatsError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -77,7 +77,7 @@ def _parse_rows(text: str, parsers: dict):
     trimming spaces.
     """
     try:
-        rows = list(csv.reader(_io.StringIO(text)))
+        rows = list(csv.reader(_io.StringIO(text), skipinitialspace=True))
     except csv.Error as exc:  # e.g. a bare "\r" inside a row
         raise InvalidArgumentError(f"malformed CSV: {exc}") from None
     if not rows:

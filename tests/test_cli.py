@@ -24,6 +24,7 @@ from clickstats import (
     forward_clicks,
     mc_q_mandel_from_clicks,
 )
+from clickstats import cli
 from clickstats.cli import build_parser, main
 from clickstats.inversion import InversionResult
 from clickstats.io import (
@@ -337,10 +338,50 @@ def test_a_quoted_count_csv_header_reads_as_the_plain_one(tmp_path, capsys, argv
     plain = count_record_to_csv(CountRecord((5, 9, 3)))
     path = tmp_path / "counts.csv"
     outputs = []
-    for text in (plain, plain.replace("clicks,count", '"clicks","count"', 1)):
+    for text in (
+        plain,
+        plain.replace("clicks,count", '"clicks","count"', 1),
+        plain.replace(",", ", ").replace("clicks, count", '"clicks", "count"', 1),
+    ):
         path.write_text(text)
         outputs.append(run_ok(capsys, [*argv, "--input", str(path)]))
-    assert outputs[0] == outputs[1]
+    assert outputs[1:] == outputs[:1] * 2
+
+
+#: Subcommand -> (a successful argv, "COUNTS" standing for a count CSV;
+#: the flags that turn it into a domain error).
+_ONE_WRITER_RUNS = {
+    "matrix": (["--detector", "ideal:2", "--n-max", "2"], ["--detector", "ideal:x"]),
+    "forward": (["--source", "coherent:0.5", "--n-max", "6", "--detector", "ideal:2"], ["--detector", "ideal:x"]),
+    "witness": (["--input", "COUNTS", "--replicas", "20"], ["--detector", "ideal:x"]),
+    "invert": (["--input", "COUNTS", "--detector", "ideal:2", "--n-max", "2"], ["--detector", "ideal:x"]),
+    "sample": (["--source", "coherent:0.5", "--detector", "ideal:2", "--events", "100"], ["--detector", "ideal:x"]),
+    "tmsv": (["--replicas", "20"], ["--seed", "-1"]),
+    "catalysis": (["--replicas", "20"], ["--seed", "-1"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_ONE_WRITER_RUNS))
+def test_main_writes_each_output_once_to_stdout_or_the_output_file(tmp_path, capsys, monkeypatch, command):
+    ok, bad = _ONE_WRITER_RUNS[command]
+    counts = tmp_path / "counts.csv"
+    counts.write_text(count_record_to_csv(CountRecord((50, 30, 20))))
+    argv = [command, *(str(counts) if a == "COUNTS" else a for a in ok)]
+    write, texts = cli._write_output, []
+
+    def counting_write(args, text):
+        texts.append(text)
+        write(args, text)
+
+    monkeypatch.setattr(cli, "_write_output", counting_write)
+    printed = run_ok(capsys, argv)
+    assert printed and texts == [printed]
+    path = tmp_path / "out.txt"
+    assert run_ok(capsys, [*argv, "-o", str(path)]) == ""
+    assert path.read_bytes() == printed.encode() and len(texts) == 2
+    assert main([*argv, *bad]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and len(texts) == 2
 
 
 def test_invert_reports_ill_conditioning(tmp_path, capsys):

@@ -117,7 +117,11 @@ def test_csv_with_a_bare_carriage_return_in_a_row_is_invalid_argument(header, re
 def test_every_reader_matches_its_header_after_unquoting_and_trimming(header, read):
     names = header.split(",")
     body = "0,1\n1,0\n"
-    for variant in (",".join(f'"{n}"' for n in names), ",".join(f" {n} " for n in names)):
+    for variant in (
+        ",".join(f'"{n}"' for n in names),
+        ",".join(f" {n} " for n in names),
+        ", ".join(f'"{n}"' for n in names),
+    ):
         assert to_plain(read(f"{variant}\n{body}")) == to_plain(read(f"{header}\n{body}"))
 
 
