@@ -26,18 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import ClickDistribution, CountRecord, DetectorModel, seeded_rng
+from .detector import ClickDistribution, CountRecord, DetectorModel, poisson_blocks
 from .distributions import PhotonDistribution, check_count, row_moments
 from .errors import InvalidArgumentError, UndefinedWitnessError
 
 #: Relative floor under which a mean click number makes the witnesses 0/0.
 _MEAN_FLOOR = 1e-300
-
-#: Mean clicks this close to N leave the binomial witness no spread.
-_PINNED_GAP = 1e-15
-
-#: Floats per bootstrap replica block (256 KiB): 3,640 replicas at N = 8.
-_BLOCK_FLOATS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +107,12 @@ def _binomial_rows(probs: np.ndarray) -> np.ndarray:
     """``q_binomial`` of each row of ``probs``, rows with mean clicks pinned at 0 or N left out."""
     n_bins = probs.shape[1] - 1
     mean, var = row_moments(probs)
-    keep = (mean > _MEAN_FLOOR) & (mean < n_bins - _PINNED_GAP)
-    return n_bins * var[keep] / (mean[keep] * (n_bins - mean[keep])) - 1.0
+    unlit = n_bins - mean
+    upper = mean > n_bins / 2  # moments of the unlit bins N - c, which do not cancel near N
+    unlit[upper], var[upper] = row_moments(probs[upper, ::-1])
+    mean[upper] = n_bins - unlit[upper]
+    keep = (mean > _MEAN_FLOOR) & (unlit > _MEAN_FLOOR)
+    return n_bins * var[keep] / (mean[keep] * unlit[keep]) - 1.0
 
 
 _binomial_rows.why = "mean click number is pinned at 0 or N, leaving no binomial spread"
@@ -145,14 +143,18 @@ def witness_rows(name: str, n_bins: int, det: DetectorModel | None = None, n_max
     return q_mandel_rows(det, det.n_bins if n_max is None else n_max, n_bins)
 
 
-def witness_from_counts(record: CountRecord, witness: str) -> float:
-    """Evaluate a click witness on raw counts (relative frequencies)."""
-    rows = witness_rows(witness, record.n_bins)
+def _observed(record: CountRecord, rows: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, float]:
+    """The record's counts as floats, and ``one_row`` of their frequencies; UndefinedWitnessError if empty."""
     counts = np.asarray(record.counts, dtype=float)
     total = counts.sum()
     if total <= 0:
         raise UndefinedWitnessError("count record is empty")
-    return one_row(rows, counts / total, rows.why)
+    return counts, one_row(rows, counts / total, getattr(rows, "why", "the record's witness is undefined"))
+
+
+def witness_from_counts(record: CountRecord, witness: str) -> float:
+    """Evaluate a click witness on raw counts (relative frequencies)."""
+    return _observed(record, witness_rows(witness, record.n_bins))[1]
 
 
 def poisson_bootstrap(
@@ -166,55 +168,36 @@ def poisson_bootstrap(
     ``rows`` maps a stack of click-frequency rows to the witness of each
     row where it is defined.  The value is ``one_row`` of the observed
     frequencies, raising with ``rows.why`` where set.  The replicas redraw
-    every counts[i] as Poisson(counts[i]), as the one draw
-    ``default_rng(seed).poisson(counts, size=(n_replicas, N+1))``; those
-    with zero total are dropped, and ``rows`` scores the rest.
-
-    The replicas are drawn, normalised and scored in blocks of
-    ``_BLOCK_FLOATS`` floats, so the peak is the scores, twice while they
-    are joined, plus a few blocks, whatever ``n_replicas``.  Each block's
-    non-zero columns are drawn into a float block of zeros, normalised in
-    place.  This is the full draw bit for bit: consecutive draws continue
-    one stream, and numpy's Poisson sampler returns 0 for a zero rate
-    without consuming it.
+    every counts[i] as Poisson(counts[i]), block by block from
+    ``poisson_blocks(counts, n_replicas, seed)``; each block drops its
+    replicas with zero total, is normalised in place and scored by ``rows``.
+    The peak is the scores, twice while they are joined, plus a few blocks.
 
     Raises:
-        InvalidArgumentError: n_replicas not an integer >= 2, a seed that
-            ``default_rng`` refuses, counts beyond numpy's Poisson sampler
-            (~9.2e18), or more replicas than their scores can fit in memory.
+        InvalidArgumentError: n_replicas not an integer >= 2, more replicas
+            than their scores can fit in memory, a seed that ``default_rng``
+            refuses, or counts beyond numpy's Poisson sampler (~9.2e18).
         UndefinedWitnessError: an empty record, no witness of the observed
             record, or < 2 defined replicas.
     """
     n_replicas = check_count(n_replicas, "n_replicas")
     if n_replicas < 2:
         raise InvalidArgumentError("n_replicas must be >= 2")
-    counts = np.asarray(record.counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        raise UndefinedWitnessError("count record is empty")
-    value = one_row(rows, counts / total, getattr(rows, "why", "the record's witness is undefined"))
-
-    rng = seeded_rng(seed)
-    drawn = np.flatnonzero(counts)
+    counts, value = _observed(record, rows)
     try:
         np.empty(n_replicas)  # the scores must fit before the first block is drawn
     except MemoryError:
         raise InvalidArgumentError(
             f"the scores of {n_replicas} replicas do not fit in memory"
         ) from None
-    block = max(1, _BLOCK_FLOATS // counts.size)
     samples = []  # the scores of each block, then their concatenation
-    for start in range(0, n_replicas, block):
-        freqs = np.zeros((min(block, n_replicas - start), counts.size))
-        try:
-            freqs[:, drawn] = rng.poisson(lam=counts[drawn], size=(freqs.shape[0], drawn.size))
-        except ValueError as exc:
-            raise InvalidArgumentError(f"counts too large to resample: {exc}") from None
+    for freqs in poisson_blocks(counts, n_replicas, seed):
         totals = freqs.sum(axis=1)
         if not totals.all():  # copy the rows only when some replica is empty
             freqs, totals = freqs[totals > 0], totals[totals > 0]
         freqs /= totals[:, None]
         samples.append(rows(freqs))
+        del freqs  # so the next block is drawn with only the generator's last block held
     samples = np.concatenate(samples)
     if samples.size < 2:
         raise UndefinedWitnessError(

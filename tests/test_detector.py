@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import math
 import pkgutil
 import tracemalloc
@@ -92,6 +94,22 @@ def test_every_cache_in_the_package_is_in_the_readme_inventory():
         "_condition_number": 64,
         "_cached_pinv": 1024,
     }
+
+
+def test_every_poisson_draw_in_the_package_goes_through_poisson_blocks():
+    # One sampler owns the seed rule and the block rule: the package calls
+    # default_rng and .poisson once each, both inside poisson_blocks.
+    lines, first = inspect.getsourcelines(detector.poisson_blocks)
+    inside = range(first, first + len(lines))
+    sites = []
+    for info in pkgutil.iter_modules(clickstats.__path__):
+        module = importlib.import_module(f"clickstats.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("default_rng", "poisson"):
+                    sites.append((name, module is detector and node.lineno in inside))
+    assert sorted(sites) == [("default_rng", True), ("poisson", True)]
 
 
 def test_two_photon_goldens():
@@ -473,6 +491,27 @@ def test_sample_counts_reproducible_and_calibrated():
     assert np.abs(freqs - c.probs).max() < 0.01
     with pytest.raises(InvalidArgumentError):
         sample_counts(c, 0.0, seed=1)
+
+
+@pytest.mark.parametrize("total", [1e3, 1e17])
+def test_sample_counts_is_the_one_documented_poisson_draw(total):
+    # A record is default_rng(seed).poisson of the means, bit for bit, with
+    # the zero means skipped and every count exact even at 1e17 events.
+    c = ClickDistribution(np.array([0.0, 0.25, 0.0, 0.7, 0.05, 0.0]))
+    for seed in (0, 11, 13):
+        full = np.random.default_rng(seed).poisson(total * c.probs)
+        assert sample_counts(c, total, seed).counts == tuple(int(x) for x in full)
+
+
+def test_poisson_blocks_of_non_integer_means_are_one_full_draw():
+    # A total times a binomial law, one mean zeroed: 12,000 rows in blocks
+    # of 3,640 continue one stream and equal one full draw bit for bit.
+    means = 2.5e3 * stats.binom.pmf(np.arange(9), 8, 0.3)
+    means[4] = 0.0
+    blocks = list(detector.poisson_blocks(means, 12_000, seed=5))
+    assert [block.shape[0] for block in blocks] == [3640, 3640, 3640, 1080]
+    full = np.random.default_rng(5).poisson(means, size=(12_000, 9))
+    assert np.array_equal(np.concatenate(blocks), full)
 
 
 def test_count_record_validation():

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickstats import (
     CatalysisSweepConfig,
@@ -23,7 +25,8 @@ from clickstats import (
     thermal_pn,
     witness_from_counts,
 )
-from clickstats.witnesses import _BLOCK_FLOATS, WITNESSES, poisson_bootstrap, witness_rows
+from clickstats.detector import _BLOCK_FLOATS
+from clickstats.witnesses import WITNESSES, poisson_bootstrap, witness_rows
 from oracles import click_witness_gradient, click_witness_of_counts, delta_method_std, delta_method_std_of_rows
 
 
@@ -86,14 +89,33 @@ def test_click_witnesses_undefined_at_pinned_means():
         q_binomial(vacuum)
     with pytest.raises(UndefinedWitnessError, match="pinned at 0 or N"):
         q_binomial(everything)
-    # A mean within round-off of N (8 - 8.9e-16) leaves a variance of pure
-    # round-off: still pinned, where the bare formula would read Q_B = -1.
-    nearly_everything = np.zeros(9)
-    nearly_everything[7:] = 1e-15, 1.0 - 1e-15
-    with pytest.raises(UndefinedWitnessError, match="pinned at 0 or N"):
-        q_binomial(ClickDistribution(nearly_everything))
+    # A mean within q of N is not pinned.  The direct E[c^2] - E[c]^2 is pure
+    # round-off there (it gives Q_B = -1.0 at q = 2e-15), so Q_B takes the
+    # moments of the unlit-bin count 8 - c, which is 1 with probability q.
+    # Exact Q_B = 8 q (1 - q) / ((8 - q) q) - 1 = -7 q / (8 - q).
+    for q in (1e-15, 2e-15):
+        nearly_everything = np.zeros(9)
+        nearly_everything[7:] = q, 1.0 - q
+        assert q_binomial(ClickDistribution(nearly_everything)) == pytest.approx(-7 * q / (8 - q), rel=0, abs=2e-16)
     with pytest.raises(UndefinedWitnessError, match="mean click number is 0"):
         q_fake(vacuum)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_bins=st.integers(1, 64),
+    eta=st.floats(0.05, 1.0),
+    dark=st.sampled_from([0.0, 0.01, 0.1]),
+    mu=st.floats(1.0, 381.8),  # 381.8: about the largest mean coherent_pn's cutoff of 512 can hold
+)
+def test_q_binomial_of_coherent_light_is_zero_up_to_saturation(n_bins, eta, dark, mu):
+    # Coherent light lights each equal bin on its own: exact Q_B = 0, at
+    # any mean.  What is left is the cutoff residue of coherent_pn's 1e-10
+    # tail, at most 1.064e-8 over mu >= 1 (N = 64, eta = 1, mu = 1.038, just
+    # past a cutoff step); 3.6e-10 at mu = 6 on 8 bins.  The direct moments
+    # give 3.8e-8 at mu = 150 and 7.0 at mu = 300 on ideal:8.
+    det = DetectorModel(n_bins, efficiency=eta, dark_click_prob=dark)
+    assert abs(q_binomial(forward_clicks(coherent_pn(mu), det))) <= 1.1e-8
 
 
 def test_bootstrap_refuses_fewer_than_two_defined_replicas():
