@@ -307,14 +307,16 @@ def poisson_blocks(means, n_rows: int, seed):
         raise InvalidArgumentError(f"seed {seed!r} refused by numpy.random.default_rng: {exc}") from None
     means = np.asarray(means, dtype=float)
     drawn = np.flatnonzero(means)
-    block = max(1, _BLOCK_FLOATS // means.size)
-    for start in range(0, n_rows, block):
-        counts = np.zeros((min(block, n_rows - start), means.size))
+    def draw(rows: int) -> np.ndarray:  # a block lives here, so the generator holds none it has yielded
+        counts = np.zeros((rows, means.size))
         try:
-            counts[:, drawn] = rng.poisson(means[drawn], size=(counts.shape[0], drawn.size))
+            counts[:, drawn] = rng.poisson(means[drawn], size=(rows, drawn.size))
         except ValueError as exc:
             raise InvalidArgumentError(f"Poisson means too large to sample: {exc}") from None
-        yield counts
+        return counts
+    block = max(1, _BLOCK_FLOATS // means.size)
+    for start in range(0, n_rows, block):
+        yield draw(min(block, n_rows - start))
 
 
 def sample_counts(c: ClickDistribution, expected_total: float, seed) -> CountRecord:

@@ -141,9 +141,14 @@ def coherent_pn(mean_photons: float, n_max: int | None = None) -> PhotonDistribu
     """Poissonian photon statistics of a coherent state with the given mean.
 
     The cutoff is extended beyond ``n_max`` if needed to keep the truncated
-    tail below TAIL_TOLERANCE; the result is renormalized.
+    tail below TAIL_TOLERANCE; the result is renormalized and cached.
     """
     mu = check_nonnegative(mean_photons, "mean_photons")
+    return _coherent_pn(mu, None if n_max is None else check_count(n_max, "n_max"))
+
+
+@lru_cache(maxsize=64)
+def _coherent_pn(mu: float, n_max: int | None) -> PhotonDistribution:
     if mu > HARD_CUTOFF_LIMIT:
         # Over a third of the mass lies above any allowed cutoff.
         raise CutoffOverflowError(

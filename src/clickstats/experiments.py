@@ -202,6 +202,8 @@ class CatalysisSweepConfig:
     inversion_n_max: int | None = None
 
     def __post_init__(self):
+        if self.expected_events is None:  # "exact only" in TmsvConfig; the sweep samples every point
+            raise InvalidArgumentError("expected_events must be finite and > 0, got None")
         _check_run(self)
         check_nonnegative(self.alpha, "alpha")
         if not self.reflectivities:

@@ -32,7 +32,6 @@ R = 0.25, n = 3 both give exactly 0.  Such residues lie far below the
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,15 +52,6 @@ def apply_loss(p: PhotonDistribution, efficiency: float) -> PhotonDistribution:
     probability ``efficiency``."""
     check_probability(efficiency, "efficiency")
     return PhotonDistribution(binomial_matrix(efficiency, p.n_max) @ p.probs)
-
-
-@lru_cache(maxsize=64)
-def _coherent_amplitudes(alpha: float, cutoff: int | None) -> np.ndarray:
-    """Square roots of ``coherent_pn(alpha**2, cutoff)``; read-only and cached,
-    as every point of a sweep asks for the same ones."""
-    c = np.sqrt(coherent_pn(alpha * alpha, n_max=cutoff).probs)
-    c.flags.writeable = False
-    return c
 
 
 def catalysis_conditional_pn(
@@ -98,7 +88,7 @@ def catalysis_conditional_pn(
     check_probability(reflectivity, "reflectivity")
     if cutoff is not None:
         cutoff = check_count(cutoff, "cutoff")
-    c = _coherent_amplitudes(alpha, cutoff)
+    c = np.sqrt(coherent_pn(alpha * alpha, n_max=cutoff).probs)
     m = c.size - 1
     # phi[p, q] from column t = p + q of the binomial law, zero for t > m (uncached: R is new per point).
     p = np.arange(m + 1)

@@ -169,9 +169,9 @@ def poisson_bootstrap(
     row where it is defined.  The value is ``one_row`` of the observed
     frequencies, raising with ``rows.why`` where set.  The replicas redraw
     every counts[i] as Poisson(counts[i]), block by block from
-    ``poisson_blocks(counts, n_replicas, seed)``; each block drops its
-    replicas with zero total, is normalised in place and scored by ``rows``.
-    The peak is the scores, twice while they are joined, plus a few blocks.
+    ``poisson_blocks(counts, n_replicas, seed)``, which holds none it has
+    yielded; each drops its empty replicas, is normalised in place and scored
+    by ``rows``.  The peak is the scores, twice while joined, and one scored block.
 
     Raises:
         InvalidArgumentError: n_replicas not an integer >= 2, more replicas
@@ -197,7 +197,7 @@ def poisson_bootstrap(
             freqs, totals = freqs[totals > 0], totals[totals > 0]
         freqs /= totals[:, None]
         samples.append(rows(freqs))
-        del freqs  # so the next block is drawn with only the generator's last block held
+        del freqs  # so the next block is drawn with no earlier block held
     samples = np.concatenate(samples)
     if samples.size < 2:
         raise UndefinedWitnessError(

@@ -3,8 +3,10 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,8 +81,8 @@ def test_detector_model_hashable_and_cached():
 
 
 def test_every_cache_in_the_package_is_in_the_readme_inventory():
-    # README's cache paragraph gives each cache's memory ceiling from these
-    # sizes: a new or resized cache updates this table and that paragraph.
+    # README's cache paragraph gives each cache's memory ceiling as
+    # "`name` keeps maxsize ...": a new or resized cache updates it.
     caches = {}
     for info in pkgutil.iter_modules(clickstats.__path__):
         module = importlib.import_module(f"clickstats.{info.name}")
@@ -90,10 +92,14 @@ def test_every_cache_in_the_package_is_in_the_readme_inventory():
     assert caches == {
         "click_matrix": 8,
         "binomial_matrix": 64,
-        "_coherent_amplitudes": 64,
+        "_coherent_pn": 64,
         "_condition_number": 64,
         "_cached_pinv": 1024,
     }
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Every cache in the package"))
+    listed = re.findall(r"`(\w+)` keeps ([\d,]+)", paragraph)
+    assert {name: int(size.replace(",", "")) for name, size in listed} == caches
 
 
 def test_every_poisson_draw_in_the_package_goes_through_poisson_blocks():

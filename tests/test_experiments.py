@@ -133,6 +133,14 @@ def test_configs_reject_empty_sweeps_and_negative_seeds():
             cls(**kwargs)
 
 
+def test_the_sweep_requires_an_event_count():
+    # None is "exact only" for the squeezed-pair table; the sweep draws a
+    # count record at every point, so it refuses None when it is built.
+    with pytest.raises(InvalidArgumentError, match="expected_events"):
+        CatalysisSweepConfig(expected_events=None)
+    assert TmsvConfig(expected_events=None).expected_events is None
+
+
 def fast_catalysis(**overrides):
     base = dict(
         alpha=1.0,

@@ -23,8 +23,7 @@ from clickstats import (
 )
 from clickstats import fockspace
 from clickstats.detector import DEGENERATE_PROB
-from clickstats.distributions import binomial_matrix
-from clickstats.fockspace import _coherent_amplitudes
+from clickstats.distributions import _coherent_pn, binomial_matrix
 from oracles import (
     beamsplitter_by_expm,
     beamsplitter_by_sectors,
@@ -232,18 +231,21 @@ def test_catalysis_rejects_out_of_range_alpha_and_reflectivity():
             catalysis_conditional_pn(1.0, bad, 1)
 
 
-def test_catalysis_rejects_bad_cutoffs_before_the_amplitude_cache():
+def test_catalysis_rejects_bad_cutoffs_before_the_coherent_state_cache():
     for bad in (-1, 2.5, float("nan"), float("inf")):
         with pytest.raises(InvalidArgumentError, match="cutoff"):
             catalysis_conditional_pn(1.0, 0.5, 1, cutoff=bad)
 
 
-def test_coherent_amplitudes_are_cached_and_read_only():
-    cached = _coherent_amplitudes(1.5, 30)
-    assert _coherent_amplitudes(1.5, 30) is cached
-    assert _coherent_amplitudes.cache_info().maxsize == 64
-    assert not cached.flags.writeable
-    assert np.array_equal(cached, np.sqrt(coherent_pn(2.25, n_max=30).probs))
+def test_catalysis_reads_the_cached_coherent_state():
+    # coherent_pn owns the cache; each sweep point takes its square roots.
+    state = coherent_pn(2.25, n_max=30)
+    assert coherent_pn(2.25, n_max=30.0) is state
+    assert _coherent_pn.cache_info().maxsize == 64
+    assert not state.probs.flags.writeable
+    hits = _coherent_pn.cache_info().hits
+    catalysis_conditional_pn(1.5, 0.3, 1, cutoff=30)
+    assert _coherent_pn.cache_info().hits == hits + 1
 
 
 def test_catalysis_leaves_the_binomial_cache_alone():

@@ -131,6 +131,27 @@ def test_lstsq_simplex_anti_cycling_rule_finishes_near_duplicate_columns():
     assert objective(A, x, b) == pytest.approx(objective(A, lstsq_simplex_by_enumeration(A, b), b), abs=1e-12)
 
 
+def test_lstsq_simplex_keeps_a_bar_through_a_rounding_level_gain(monkeypatch):
+    # A 3 x 5 column-stochastic law whose columns 0 and 4 are equal and 1, 2
+    # and 3 lie within 1.3e-9 of each other.  Coordinate 1, released, heads
+    # straight back to zero and is barred; the next solve gains 9.5e-17, a
+    # rounding-level change, so the bar stays and the row finishes in 5
+    # steps.  Lifting the bar on any gain releases coordinate 1 again and
+    # takes 7, past a budget of one step per coordinate.
+    A = np.array([
+        [0.4052434254056821, 0.8441858421471156, 0.8441858412708374, 0.8441858408357324, 0.4052434254056821],
+        [0.5897240174668619, 0.15576768051371132, 0.1557676810693842, 0.1557676810032076, 0.5897240174668619],
+        [0.005032557127456108, 4.647733917303368e-05, 4.6477659778436606e-05, 4.647816105988106e-05,
+         0.005032557127456108],
+    ])
+    b = np.array([0.7694139332519591, 0.22969023306244457, 0.0008958352976247495])
+    monkeypatch.setattr(inversion, "_STEPS_PER_COORDINATE", 1)
+    x = lstsq_simplex(A, b)
+    assert (x >= 0).all()
+    assert x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert objective(A, x, b) == pytest.approx(objective(A, lstsq_simplex_by_enumeration(A, b), b), abs=1e-12)
+
+
 def test_lstsq_simplex_returns_an_all_feasible_square_batch_from_the_lu_solve():
     L = click_matrix(DetectorModel(8, efficiency=0.9, dark_click_prob=0.01), 8)
     rng = np.random.default_rng(29)

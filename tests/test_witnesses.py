@@ -63,6 +63,22 @@ def test_q_binomial_is_negative_for_coherent_light_on_unequal_bins():
         assert q_binomial(forward_clicks(coherent_pn(6.0), det)) == pytest.approx(poisson_binomial, abs=1e-8)
 
 
+def test_tiny_coherent_means_read_their_cutoff_as_nonclassical():
+    # A documented limit, not a feature: TAIL_TOLERANCE is absolute, so
+    # below a mean of 1.414e-5 the n = 2 mass mu^2/2 is under 1e-10 and the
+    # state is cut at n = 1.  A two-level state reads Q_M = -p_1 and, on N
+    # ideal bins, Q_B = -(N - 1) p_1 / (N - p_1), although the light is
+    # coherent.  Larger means keep more terms, and the residue is smaller.
+    p = coherent_pn(1.41e-5)
+    assert p.n_max == 1
+    assert q_mandel(p) == pytest.approx(-p.probs[1], rel=1e-12)
+    for n_bins, expected in ((8, -1.2337e-5), (64, -1.3879e-5)):
+        det = DetectorModel.ideal(n_bins)
+        assert q_binomial(forward_clicks(p, det)) == pytest.approx(expected, rel=1e-4)
+        residues = [q_binomial(forward_clicks(coherent_pn(mu), det)) for mu in np.geomspace(1e-3, 1.0, 601)]
+        assert max(map(abs, residues)) < 1.7e-7
+
+
 def test_q_binomial_single_photon_is_minus_one():
     c = forward_clicks(fock_pn(1), DetectorModel.ideal(8))
     assert q_binomial(c) == -1.0
@@ -270,6 +286,22 @@ def test_poisson_bootstrap_memory_does_not_grow_with_the_replica_matrix(bootstra
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * n_replicas + 16 * _BLOCK_BYTES
+
+
+def test_poisson_blocks_hands_each_block_over():
+    # The generator holds no block it has yielded, so the bootstrap frees a
+    # block when it drops its empty replicas.  One block of 2,000 replicas of
+    # 9 click numbers is 144,000 bytes; this case peaked at 2.1 blocks, and
+    # at 2.8 while the generator held the block it had yielded.
+    record = CountRecord((1, 0, 0, 0, 0, 0, 0, 0, 1))  # 13.5% of replicas are empty
+    mc_witness(record, "Q_B", 2000, 3)  # numpy's first seeded draw imports modules
+    tracemalloc.start()
+    try:
+        mc_witness(record, "Q_B", 2000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * 9 * 2000
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, np.int64(-3)])
