@@ -76,19 +76,17 @@ class DetectorModel:
             raise InvalidArgumentError("n_bins must be an integer >= 1")
         object.__setattr__(self, "n_bins", int(self.n_bins))
         if self.bin_weights is not None:
-            w = tuple(float(x) for x in self.bin_weights)
+            w = tuple(check_nonnegative(x, "bin_weights") for x in self.bin_weights)
             if len(w) != self.n_bins:
                 raise InvalidArgumentError("bin_weights length must equal n_bins")
-            if not all(x >= 0 for x in w):  # also rejects NaN
-                raise InvalidArgumentError("bin_weights must be >= 0")
             if abs(sum(w) - 1.0) > _WEIGHT_SUM_ATOL:
                 raise InvalidArgumentError(
                     f"bin_weights sum to {sum(w)!r}, expected 1 within {_WEIGHT_SUM_ATOL}"
                 )
             object.__setattr__(self, "bin_weights", w)
         check_probability(self.efficiency, "efficiency")
-        if not 0.0 <= self.dark_click_prob < 1.0:
-            raise InvalidArgumentError("dark_click_prob must lie in [0, 1)")
+        if check_probability(self.dark_click_prob, "dark_click_prob") == 1.0:
+            raise InvalidArgumentError(f"dark_click_prob must lie in [0, 1), got {self.dark_click_prob!r}")
 
     @classmethod
     def ideal(cls, n_bins: int) -> "DetectorModel":
@@ -140,14 +138,9 @@ class CountRecord:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            counts = tuple(int(c) for c in self.counts)
-        except (OverflowError, ValueError):
-            raise InvalidArgumentError("counts must be finite integers") from None
+        counts = tuple(check_count(c, "counts") for c in self.counts)
         if len(counts) < 2:
             raise InvalidArgumentError("counts must cover i = 0..N with N >= 1")
-        if any(c < 0 for c in counts):
-            raise InvalidArgumentError("counts must be >= 0")
         object.__setattr__(self, "counts", counts)
 
     @property

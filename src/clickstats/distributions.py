@@ -90,10 +90,13 @@ def check_count(value, name: str) -> int:
 
 
 def check_nonnegative(value, name: str, strict: bool = False) -> float:
-    """``value`` as a float; InvalidArgumentError unless finite and >= 0 (> 0 if ``strict``)."""
-    x = float(value)
+    """``value`` as a float; InvalidArgumentError unless it is a number, not text, finite and >= 0 (> 0 if ``strict``)."""
+    try:
+        x = math.nan if isinstance(value, (str, bytes)) else float(value)
+    except (OverflowError, TypeError, ValueError):  # an int past float range, None, a sequence
+        x = math.nan  # refused below
     if not math.isfinite(x) or x < 0 or (strict and x == 0):
-        raise InvalidArgumentError(f"{name} must be finite and {'>' if strict else '>='} 0, got {x!r}")
+        raise InvalidArgumentError(f"{name} must be a finite number {'>' if strict else '>='} 0, got {value!r}")
     return x
 
 
@@ -110,10 +113,12 @@ def check_probs(probs: np.ndarray, what: str) -> np.ndarray:
     return probs
 
 
-def check_probability(value, name: str) -> None:
-    """InvalidArgumentError unless ``value`` lies in [0, 1], which NaN does not."""
-    if not 0.0 <= value <= 1.0:
-        raise InvalidArgumentError(f"{name} must lie in [0, 1]")
+def check_probability(value, name: str) -> float:
+    """``check_nonnegative``'s float; InvalidArgumentError unless it is also <= 1."""
+    x = check_nonnegative(value, name)
+    if x > 1.0:
+        raise InvalidArgumentError(f"{name} must lie in [0, 1], got {value!r}")
+    return x
 
 
 def _resolve_cutoff(requested, tails, label):

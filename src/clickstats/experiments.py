@@ -22,6 +22,7 @@ each bootstrap), so results are reproducible and rows are independent.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,19 +203,20 @@ class CatalysisSweepConfig:
     inversion_n_max: int | None = None
 
     def __post_init__(self):
-        if self.expected_events is None:  # "exact only" in TmsvConfig; the sweep samples every point
-            raise InvalidArgumentError("expected_events must be finite and > 0, got None")
+        # None is "exact only" in TmsvConfig; the sweep samples every point.
+        check_nonnegative(self.expected_events, "expected_events", strict=True)
         _check_run(self)
         check_nonnegative(self.alpha, "alpha")
-        if not self.reflectivities:
-            raise InvalidArgumentError("reflectivities must not be empty")
+        if not isinstance(self.reflectivities, Sequence) or not self.reflectivities:
+            raise InvalidArgumentError(f"reflectivities must be a non-empty sequence, got {self.reflectivities!r}")
         for reflectivity in self.reflectivities:
             check_probability(reflectivity, "reflectivity")
         check_count(self.herald_k, "herald_k")
         herald = self.herald_detector
         if herald is not None and self.herald_k > herald.n_bins:
             raise InvalidArgumentError(f"herald_k={self.herald_k} exceeds the herald's {herald.n_bins} bins")
-        self.signal_detector()
+        check_probability(self.signal_efficiency, "signal_efficiency")
+        self.signal_detector()  # DetectorModel checks n_bins and dark clicks
         if self.inversion_n_max is not None:
             check_count(self.inversion_n_max, "inversion_n_max")
 

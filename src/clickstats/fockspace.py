@@ -90,12 +90,12 @@ def catalysis_conditional_pn(
         cutoff = check_count(cutoff, "cutoff")
     c = np.sqrt(coherent_pn(alpha * alpha, n_max=cutoff).probs)
     m = c.size - 1
-    # phi[p, q] from column t = p + q of the binomial law, zero for t > m (uncached: R is new per point).
+    # phi[p, q] from column t = p + q of the binomial law (uncached: R is new per point).  A t
+    # past the cutoff m has p >= 1, so clipped to 0 it reads the exact zero B[p, 0]: phi = +0.0.
     p = np.arange(m + 1)
     t = p[:, None] + p
-    inside = t <= m
-    t[~inside] = 0
-    phi = np.where(inside, c[t] * np.sqrt(binomial_matrix.__wrapped__(reflectivity, m)[p[:, None], t]), 0.0)
+    t[t > m] = 0
+    phi = c[t] * np.sqrt(binomial_matrix.__wrapped__(reflectivity, m)[p[:, None], t])
     root = np.sqrt(np.arange(1, m + 2))
     psi = np.zeros((m + 2, m + 2))
     psi[1:, :-1] = math.sqrt(1.0 - reflectivity) * root[:, None] * phi

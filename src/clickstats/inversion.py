@@ -134,7 +134,7 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows, dim = B.shape[0], A.shape[1]
     max_iter = _STEPS_PER_COORDINATE * (dim + 1)
 
-    # Each row's solution lands in P when the row finishes.
+    # P holds each row's point: its iterate while it runs, its solution once it finishes.
     P = np.empty((rows, dim))
     pending = np.arange(rows)
     if A.shape[0] == dim:
@@ -152,10 +152,11 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             if done.all():
                 return P[0] if single else P
             pending = np.flatnonzero(~done)
-    # The unfinished rows' right-hand sides, iterates (from the simplex
-    # centre), pinned and barred coordinates and best objectives, compacted
+    # The unfinished rows start from the simplex centre; their right-hand
+    # sides, pinned and barred coordinates and best objectives are compacted
     # in pending order.
-    B, Pp = B[pending], np.full((pending.size, dim), 1.0 / dim)
+    P[pending] = 1.0 / dim
+    B = B[pending]
     active = np.zeros((pending.size, dim), dtype=bool)
     tabu = np.zeros((pending.size, dim), dtype=bool)
     best = np.full(pending.size, np.inf)
@@ -190,7 +191,7 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         # rows is skipped.
         if f.size:
             x = np.clip(X.take(f, axis=0), 0.0, None)
-            P[pending[f]] = Pp[f] = x
+            P[pending[f]] = x
             residual = x @ A.T - B.take(f, axis=0)
             value = 0.5 * np.sum(residual**2, axis=1)
             improved = value < best[f] - _TOL
@@ -208,24 +209,22 @@ def lstsq_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         # Infeasible rows step toward their solution until the first free
         # coordinate hits zero, and pin that coordinate.
         if i.size:
-            x, p = X.take(i, axis=0), Pp.take(i, axis=0)
+            x, p = X.take(i, axis=0), P.take(pending[i], axis=0)
             # p >= 0, so a coordinate with x < 0 shrinks (x - p < 0) and
             # reaches zero at a ratio p / (p - x) <= 1.
             step = x - p
             ratios = np.divide(p, -step, out=np.full_like(p, np.inf), where=x < 0)
             block = np.argmin(ratios, axis=1)
             alpha = ratios[np.arange(i.size), block]
-            moved = alpha > 0.0
             # A row with alpha = 0 keeps p: p + 0 step is p, up to the sign of a zero.
             step *= alpha[:, None]
             step += p
-            Pp[i] = np.clip(step, 0.0, None, out=step)
-            Pp[i, block] = 0.0
+            P[pending[i]] = np.clip(step, 0.0, None, out=step)
+            P[pending[i], block] = 0.0
             active[i, block] = True
-            tabu[i[moved]] = False
         # The rows that go on: the releasing feasible ones, then the infeasible.
         keep = np.concatenate((f, i))
-        pending, B, Pp, active, tabu, best = (a.take(keep, axis=0) for a in (pending, B, Pp, active, tabu, best))
+        pending, B, active, tabu, best = (a.take(keep, axis=0) for a in (pending, B, active, tabu, best))
     if pending.size:
         raise SolverNotConvergedError(
             f"simplex least-squares did not converge in {max_iter} iterations "

@@ -3,12 +3,20 @@ import pytest
 from scipy import stats
 
 from clickstats import (
+    CatalysisSweepConfig,
+    ClickDistribution,
+    CountRecord,
     CutoffOverflowError,
+    DetectorModel,
     InvalidArgumentError,
     PhotonDistribution,
+    TmsvConfig,
+    apply_loss,
+    catalysis_conditional_pn,
     coherent_pn,
     fock_pn,
     moments,
+    sample_counts,
     thermal_pn,
 )
 from clickstats.distributions import HARD_CUTOFF_LIMIT, TAIL_TOLERANCE, is_integer
@@ -174,3 +182,33 @@ def test_non_finite_inputs_rejected(bad):
         PhotonDistribution(np.array([bad, 0.5]))
     with pytest.raises(InvalidArgumentError):
         PhotonDistribution(np.array([bad]))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        ('coherent_pn(None)', "mean_photons"),
+        ('thermal_pn("x")', "mean_photons"),
+        ('coherent_pn("0.5")', "mean_photons"),
+        ('coherent_pn(10**400)', "mean_photons"),
+        ('TmsvConfig(mean_photons=None)', "mean_photons"),
+        ('catalysis_conditional_pn(None, 0.5, 1)', "alpha"),
+        ('CatalysisSweepConfig(alpha=None)', "alpha"),
+        ('CatalysisSweepConfig(signal_efficiency=None)', "signal_efficiency"),
+        ('CatalysisSweepConfig(reflectivities=("a",))', "reflectivity"),
+        ('CatalysisSweepConfig(reflectivities=0.5)', "reflectivities"),
+        ('DetectorModel(4, dark_click_prob=None)', "dark_click_prob"),
+        ('DetectorModel(4, efficiency="x")', "efficiency"),
+        ('DetectorModel(4, efficiency="0.5")', "efficiency"),
+        ('DetectorModel(2, bin_weights=(None, 1))', "bin_weights"),
+        ('CountRecord((None, 1))', "counts"),
+        ('CountRecord((1.5, 1))', "counts"),
+        ('apply_loss(fock_pn(1), None)', "efficiency"),
+        ('sample_counts(c, None, 0)', "expected_total"),
+    ],
+)
+def test_non_numbers_are_invalid_arguments_that_name_the_argument(call, name):
+    # None, text (numeric text too), an int past float range, a fraction
+    # where a count belongs and a bare number where a sequence belongs.
+    with pytest.raises(InvalidArgumentError, match=rf"^{name} must"):
+        eval(call, globals(), {"c": ClickDistribution(np.array([0.5, 0.5]))})

@@ -103,9 +103,8 @@ def test_lstsq_simplex_anti_cycling_rule_finishes_near_duplicate_columns():
     # A 6 x 8 column-stochastic law whose columns 3 and 7 are equal, 1 and 6
     # within 4.5e-15 and 4 and 5 within 8.5e-11, and b a Dirichlet(0.3)
     # mixture of its columns.  The active set cycles through these pairs
-    # unless a released coordinate stays barred until the objective improves
-    # and a zero-length step leaves the bars in place: without either rule
-    # the solver runs out of steps.
+    # unless a released coordinate stays barred until the objective
+    # improves: without that bar the solver runs out of steps.
     A = np.array([
         [0.011648748694595526, 0.12937741744415884, 0.024100824569282666, 0.11182505976260458,
          0.13061084553951538, 0.130610845567292, 0.1293774174441566, 0.11182505976260458],
@@ -129,6 +128,79 @@ def test_lstsq_simplex_anti_cycling_rule_finishes_near_duplicate_columns():
     assert x.sum() == pytest.approx(1.0, abs=1e-12)
     # Near-duplicate columns leave the minimiser non-unique: compare objectives.
     assert objective(A, x, b) == pytest.approx(objective(A, lstsq_simplex_by_enumeration(A, b), b), abs=1e-12)
+
+
+def test_lstsq_simplex_keeps_its_bars_when_a_step_moves():
+    # A 7 x 7 column-stochastic law, singular to the LU solve: columns 2 and
+    # 5 are equal, 1 lies within 9e-14 of them and 6 within 2.6e-7, and 0, 3
+    # and 4 lie within 7.4e-10 of each other.  b is a Dirichlet(0.5) mixture
+    # of the columns.  A bar lifts only when the objective improves; lifting
+    # every bar after each step that moves the point let the active set
+    # cycle through these columns until its 800 steps ran out.
+    A = np.array([
+        [0.007425961898231868, 0.4320350491558797, 0.4320350491559604, 0.007425962102186276,
+         0.007425962391229685, 0.4320350491559604, 0.43203519502405185],
+        [0.3394246625256679, 0.012239636824490944, 0.012239636824473364, 0.33942466269151084,
+         0.33942466195889315, 0.012239636824473364, 0.012239461066040212],
+        [0.11830232048771408, 0.003726318525226053, 0.003726318525136482, 0.11830232048897986,
+         0.1183023209257287, 0.003726318525136482, 0.0037263672855696924],
+        [0.036686732310327555, 0.021288519047481875, 0.021288519047533604, 0.036686732146077025,
+         0.03668673215430256, 0.021288519047533604, 0.021288516269779588],
+        [0.2453003000622385, 0.1722327870336586, 0.1722327870336637, 0.2453002999536009,
+         0.2453002999349809, 0.1722327870336637, 0.1722325744399762],
+        [0.03810119768401183, 0.3404618320374634, 0.34046183203746316, 0.038101197668995,
+         0.038101197762350165, 0.34046183203746316, 0.34046177789552556],
+        [0.2147588250318083, 0.01801585737579941, 0.018015857375769252, 0.2147588249486501,
+         0.21475882487251483, 0.018015857375769252, 0.018016108019056867],
+    ])
+    b = np.array([
+        0.24592253448415755, 0.1556497280891107, 0.05394669415485238, 0.028037786193896255,
+        0.20425937097315114, 0.2079326429132118, 0.10425124319162027,
+    ])
+    x = lstsq_simplex(A, b)
+    assert (x >= 0).all()
+    assert x.sum() == pytest.approx(1.0, abs=1e-12)
+    assert objective(A, x, b) == pytest.approx(objective(A, lstsq_simplex_by_enumeration(A, b), b), abs=1e-12)
+
+
+def test_lstsq_simplex_stops_above_the_optimum_on_near_singular_supports():
+    # A documented limit, not a feature.  Each support is solved through the
+    # explicit pseudo-inverse of its reduced matrix; when two free columns
+    # lie within 2e-15, that matrix has entries near 1e15, and its product
+    # with b - a_j carries their rounding into every coordinate.  The point
+    # comes out on a grid of 1/128 and fits far worse than the support
+    # allows.  Measured 4.2871e-4 above the enumeration optimum on the first
+    # law (columns 1 and 3 equal, 0 and 2 within 1.6e-15; coordinate 1 ends
+    # barred with multiplier -0.01314) and 9.4869e-5 on the second (columns
+    # 0 and 1 within 1.1e-15, no coordinate pinned).  numpy's lstsq on the
+    # same free columns finds a point of the simplex that fits to 1e-30.
+    cases = [
+        (
+            [[0.010505398095638408, 0.46742499042824576, 0.010505398095638226, 0.46742499042824576],
+             [0.07236492383249997, 0.025982709291262347, 0.07236492383250046, 0.025982709291262347],
+             [0.339245290524923, 0.43310405063155216, 0.3392452905249243, 0.43310405063155216],
+             [0.5778843875469385, 0.07348824964893973, 0.5778843875469369, 0.07348824964893973]],
+            [0.05994149223589336, 0.06734663273058354, 0.34940027310475, 0.5233116019287729],
+        ),
+        (
+            [[0.009117550994274061, 0.009117550994275062, 0.17178180739585625],
+             [0.2612868544801797, 0.2612868544801792, 0.21599712867971138],
+             [0.3814378564136419, 0.3814378564136414, 0.1173206153642418],
+             [0.3481577381119043, 0.3481577381119043, 0.4949004485601907]],
+            [0.026403135678837463, 0.256474122980446, 0.3533713282297144, 0.3637514131110022],
+        ),
+    ]
+    for A, b in cases:
+        A, b = np.array(A), np.array(b)
+        x = lstsq_simplex(A, b)
+        assert (x >= 0).all() and x.sum() == 1.0
+        assert 1e-5 < objective(A, x, b) - objective(A, lstsq_simplex_by_enumeration(A, b), b) < 1e-3
+        free = np.flatnonzero(x)
+        rest, last = free[:-1], free[-1]
+        y = np.linalg.lstsq(A[:, rest] - A[:, [last]], b - A[:, last], rcond=None)[0]
+        refit = np.zeros_like(x)
+        refit[rest], refit[last] = y, 1.0 - y.sum()
+        assert (refit >= 0).all() and objective(A, refit, b) < 1e-30
 
 
 def test_lstsq_simplex_keeps_a_bar_through_a_rounding_level_gain(monkeypatch):
