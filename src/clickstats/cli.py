@@ -109,28 +109,30 @@ def _cmd_sample(args) -> str:
 
 
 def _cmd_experiment(args) -> str:
-    # ``clickstats.io`` and ``clickstats.experiments`` functions are looked
-    # up by name at call time, so wrappers installed on them are seen.
+    # ``clickstats.io`` and ``clickstats.experiments`` names are looked up
+    # at call time, so wrappers installed on them are seen.
     from . import experiments
 
     stem = args.command
+    runner, config_class, _ = _EXPERIMENTS[stem]
     raw = cio.parse_config(_read_input(args.config)) if args.config is not None else {}
-    config = getattr(cio, f"{stem}_config_from_dict")(raw)
+    config = cio.config_from_dict(raw, getattr(experiments, config_class), stem)
     overrides = {"seed": args.seed, "n_replicas": args.replicas, "expected_events": args.events}
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    result = getattr(experiments, _EXPERIMENTS[stem][0])(config)
+    result = getattr(experiments, runner)(config)
     if args.format == "csv":
         return getattr(cio, f"{stem}_result_to_csv")(result)
     return cio.to_json(getattr(cio, f"{stem}_result_to_dict")(result))
 
 
 #: Experiment subcommand, which is also the stem of its ``clickstats.io``
-#: names -> (runner in ``clickstats.experiments``, help).
+#: writers and its config label -> (runner and config class in
+#: ``clickstats.experiments``, help).
 _EXPERIMENTS = {
-    "catalysis": ("run_catalysis_sweep", "reflectivity sweep of single-photon catalysis"),
-    "tmsv": ("run_tmsv", "two-mode squeezed vacuum witness table"),
+    "catalysis": ("run_catalysis_sweep", "CatalysisSweepConfig", "reflectivity sweep of single-photon catalysis"),
+    "tmsv": ("run_tmsv", "TmsvConfig", "two-mode squeezed vacuum witness table"),
 }
 
 
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.set_defaults(func=_cmd_sample)
 
-    for command, (_, help_text) in _EXPERIMENTS.items():
+    for command, (_, _, help_text) in _EXPERIMENTS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--seed", type=int, default=None)

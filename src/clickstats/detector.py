@@ -97,9 +97,6 @@ class DetectorModel:
     def is_uniform(self) -> bool:
         return self.bin_weights is None or len(set(self.bin_weights)) == 1
 
-    def with_efficiency(self, efficiency: float) -> "DetectorModel":
-        return DetectorModel(self.n_bins, self.bin_weights, efficiency, self.dark_click_prob)
-
 
 @dataclass(frozen=True, eq=False)
 class ClickDistribution:

@@ -23,7 +23,7 @@ be divided out.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -328,11 +328,12 @@ def q_mandel_rows(det: DetectorModel, n_max: int, n_bins: int) -> Callable:
     The returned rows function inverts all rows with one batched
     ``lstsq_simplex`` call; its ``why`` says what leaves a row out.
     """
-    L = _click_law(det.with_efficiency(1.0), n_max, n_bins)[0]
+    L = _click_law(replace(det, efficiency=1.0), n_max, n_bins)[0]
 
     def rows(freqs: np.ndarray) -> np.ndarray:
         probs = lstsq_simplex(L, freqs)
-        return mandel_rows(probs / probs.sum(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        return mandel_rows(probs)
 
     rows.why = "mean photon number is 0"
     return rows

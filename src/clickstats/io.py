@@ -35,7 +35,7 @@ from .distributions import PhotonDistribution, coherent_pn, fock_pn, thermal_pn
 from .errors import InvalidArgumentError
 
 if TYPE_CHECKING:  # the experiment module loads only where used
-    from .experiments import CatalysisSweepConfig, CatalysisSweepResult, TmsvConfig, TmsvResult
+    from .experiments import CatalysisSweepResult, TmsvResult
 
 SCHEMA_VERSION = 1
 
@@ -213,7 +213,13 @@ def _parse_field(key: str, value: str, annotation: str):
         raise InvalidArgumentError(f"bad value for config key {key!r}: {exc}") from None
 
 
-def _config_from_dict(raw: dict[str, str], cls, label: str):
+def config_from_dict(raw: dict[str, str], cls, label: str):
+    """The config dataclass ``cls`` built from ``parse_config``'s ``raw`` pairs.
+
+    Each value is parsed by its field's annotation; a key that is no field
+    of ``cls`` is an InvalidArgumentError naming the ``label`` config, and
+    ``cls`` checks the values it is built from.
+    """
     annotations = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in raw.items():
@@ -221,18 +227,6 @@ def _config_from_dict(raw: dict[str, str], cls, label: str):
             raise InvalidArgumentError(f"unknown {label} config key {key!r}")
         kwargs[key] = _parse_field(key, value, annotations[key])
     return cls(**kwargs)
-
-
-def tmsv_config_from_dict(raw: dict[str, str]) -> TmsvConfig:
-    from .experiments import TmsvConfig
-
-    return _config_from_dict(raw, TmsvConfig, "tmsv")
-
-
-def catalysis_config_from_dict(raw: dict[str, str]) -> CatalysisSweepConfig:
-    from .experiments import CatalysisSweepConfig
-
-    return _config_from_dict(raw, CatalysisSweepConfig, "catalysis")
 
 
 def to_plain(value):

@@ -141,21 +141,27 @@ def test_witness_on_counts_too_large_to_resample(tmp_path, capsys, extra):
     assert "too large" in err
 
 
+#: Replica counts whose scores do not fit: 10^15 asks for petabytes and fails
+#: at once; numpy refuses 2^62 and more with a ValueError, not a MemoryError.
+_TOO_MANY_REPLICAS = (10**15, 2**62, 2**63, 10**30)
+
+
 @pytest.mark.parametrize("extra", [[], ["--witness", "Q_M", "--detector", "ideal:2"]])
 def test_witness_with_too_many_replicas_to_allocate(tmp_path, capsys, extra):
-    # 10^15 replicas ask for petabytes: the allocation fails at once.
     path = tmp_path / "counts.csv"
     path.write_text(count_record_to_csv(CountRecord((50, 5, 0))))
-    argv = ["witness", "--input", str(path), "--replicas", str(10**15), *extra]
-    err = run_fail(capsys, argv, "invalid-argument")
-    assert "do not fit in memory" in err
+    for replicas in _TOO_MANY_REPLICAS:
+        argv = ["witness", "--input", str(path), "--replicas", str(replicas), *extra]
+        err = run_fail(capsys, argv, "invalid-argument")
+        assert f"the scores of {replicas} replicas do not fit in memory" in err
 
 
 def test_catalysis_with_too_many_replicas_to_allocate(tmp_path, capsys):
     config = tmp_path / "catalysis.cfg"
-    config.write_text(f"reflectivities = 0.5\nn_replicas = {10**15}\n")
-    err = run_fail(capsys, ["catalysis", "--config", str(config)], "invalid-argument")
-    assert "do not fit in memory" in err
+    for replicas in _TOO_MANY_REPLICAS:
+        config.write_text(f"reflectivities = 0.5\nn_replicas = {replicas}\n")
+        err = run_fail(capsys, ["catalysis", "--config", str(config)], "invalid-argument")
+        assert f"the scores of {replicas} replicas do not fit in memory" in err
 
 
 @pytest.mark.parametrize(
@@ -203,7 +209,7 @@ def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path):
     counts.write_text(count_record_to_csv(CountRecord((50, 30, 5))))
     probe = (
         "import json, sys; print(json.dumps(sorted("
-        "m for m in sys.modules if m == 'numpy' or m.startswith('clickstats'))))"
+        "m for m in sys.modules if m in ('numpy', 'numpy.random') or m.startswith('clickstats'))))"
     )
 
     def loaded(code):
@@ -211,7 +217,7 @@ def test_each_subcommand_loads_only_the_modules_it_uses(tmp_path):
 
     assert loaded("import clickstats") == {"clickstats"}
     unused = {f"clickstats.{m}" for m in ("experiments", "fockspace", "inversion")}
-    assert not loaded("import clickstats.cli") & (unused | {"clickstats.witnesses"})
+    assert not loaded("import clickstats.cli") & (unused | {"clickstats.witnesses", "numpy.random"})
     for argv in (
         ["matrix", "--detector", "uniform:4,0.5", "--n-max", "6"],
         ["forward", "--source", "coherent:1", "--n-max", "6", "--detector", "ideal:4"],
@@ -239,6 +245,21 @@ def test_every_traced_function_resolves():
     spec.loader.exec_module(tracing)
     for module, fn in tracing.TARGETS.values():
         assert callable(getattr(importlib.import_module(module), fn, None)), (module, fn)
+
+
+def test_every_study_resolves_its_runner_config_and_writers():
+    # ``_cmd_experiment`` looks these up by name; a study added without one
+    # must fail here rather than at its first run.
+    from clickstats import experiments
+    from clickstats import io as cio
+
+    for stem, (runner, config_class, _) in cli._EXPERIMENTS.items():
+        assert callable(getattr(experiments, runner, None)), (stem, runner)
+        cls = getattr(experiments, config_class, None)
+        assert dataclasses.is_dataclass(cls), (stem, config_class)
+        assert cio.config_from_dict({}, cls, stem) == cls()
+        for writer in (f"{stem}_result_to_dict", f"{stem}_result_to_csv"):
+            assert callable(getattr(cio, writer, None)), (stem, writer)
 
 
 def test_witness_q_mandel_through_inversion(tmp_path, capsys):
@@ -666,12 +687,12 @@ def fuzz_argvs(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(argv=fuzz_argvs())
-def test_fuzzed_argv_never_ends_in_a_traceback(fuzz_dir, argv):
+def assert_ends_cleanly(directory, argv):
+    """Run ``main(argv)`` in ``directory``: it returns 0, or 1 with one
+    ``error: <code>: ...`` line, or argparse exits with status 2."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    os.chdir(fuzz_dir)
+    os.chdir(directory)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -685,6 +706,48 @@ def test_fuzzed_argv_never_ends_in_a_traceback(fuzz_dir, argv):
         assert len(lines) == 1 and re.match(r"error: [a-z-]+: ", lines[0]), (argv, lines)
     else:
         assert code == 0, argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=fuzz_argvs())
+def test_fuzzed_argv_never_ends_in_a_traceback(fuzz_dir, argv):
+    assert_ends_cleanly(fuzz_dir, argv)
+
+
+#: Numbers at and past the edges of the numeric flags: argparse refuses some
+#: (``inf`` as an int), the library the rest, and none may end in a traceback.
+_EXTREME_NUMBERS = ("inf", "nan", "-1", "0", "1", "2", "1e300", str(10**30))
+
+#: The start of a command line, with its inputs in ``fuzz_dir`` -> its numeric flags.
+_EXTREME_COMMANDS = {
+    ("sample", "--source", "coherent:1", "--detector", "ideal:3"): ("--events", "--seed", "--n-max"),
+    ("sample", "--input", "clicks.csv"): ("--events", "--seed", "--n-max"),
+    ("witness", "--input", "counts.csv", "--witness", "Q_B"): ("--replicas", "--seed", "--n-max"),
+    ("witness", "--input", "counts.csv", "--witness", "Q_F"): ("--replicas", "--seed", "--n-max"),
+    ("witness", "--input", "clicks.csv", "--witness", "Q_F"): ("--replicas", "--seed", "--n-max"),
+    ("forward", "--source", "coherent:1", "--detector", "ideal:3"): ("--n-max",),
+    ("invert", "--input", "counts.csv", "--detector", "uniform:3,0.5"): ("--n-max",),
+    ("matrix", "--detector", "ideal:3"): ("--n-max",),
+    ("catalysis", "--config", "catalysis.cfg"): ("--events", "--seed", "--replicas"),
+    ("tmsv", "--config", "tmsv.cfg"): ("--events", "--seed", "--replicas"),
+}
+
+
+@st.composite
+def extreme_argvs(draw):
+    """A command line whose numeric flags, most of them given, take extreme values."""
+    start = draw(st.sampled_from(sorted(_EXTREME_COMMANDS)))
+    argv = list(start)
+    for flag in _EXTREME_COMMANDS[start]:
+        if draw(st.integers(0, 3)):
+            argv += [flag, draw(st.sampled_from(_EXTREME_NUMBERS))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=extreme_argvs())
+def test_extreme_numeric_flags_never_end_in_a_traceback(fuzz_dir, argv):
+    assert_ends_cleanly(fuzz_dir, argv)
 
 
 #: Byte goldens of the CLI's own JSON (the experiment writers are pinned in

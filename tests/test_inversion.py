@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 from functools import lru_cache
@@ -653,7 +654,7 @@ def test_replica_loop_records_cover_drops_and_the_active_set():
 
     assert dropped(_DENSE) == 0.0
     assert dropped(_FEW) > 0.01
-    L = click_matrix(_DET.with_efficiency(1.0), 8)
+    L = click_matrix(dataclasses.replace(_DET, efficiency=1.0), 8)
 
     def free_solutions(counts):
         rows = np.random.default_rng(11).poisson(lam=np.array(counts, dtype=float), size=(200, 9))

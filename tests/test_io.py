@@ -22,11 +22,11 @@ from clickstats.experiments import (
     run_tmsv,
 )
 from clickstats.io import (
-    catalysis_config_from_dict,
     catalysis_result_to_csv,
     catalysis_result_to_dict,
     click_distribution_from_csv,
     click_distribution_to_csv,
+    config_from_dict,
     count_record_from_csv,
     count_record_to_csv,
     envelope,
@@ -37,7 +37,6 @@ from clickstats.io import (
     photon_distribution_from_csv,
     photon_distribution_to_csv,
     sniff_click_csv,
-    tmsv_config_from_dict,
     tmsv_result_to_csv,
     tmsv_result_to_dict,
     to_json,
@@ -169,39 +168,44 @@ def test_parse_config_lines():
 
 
 def test_tmsv_config_from_dict():
-    config = tmsv_config_from_dict(
+    config = config_from_dict(
         {
             "mean_photons": "0.2",
             "n_bins": "4",
             "herald_ks": "0,1,2",
             "expected_events": "none",
             "cutoff": "40",
-        }
+        },
+        TmsvConfig,
+        "tmsv",
     )
     assert config == TmsvConfig(
         mean_photons=0.2, n_bins=4, herald_ks=(0, 1, 2), expected_events=None, cutoff=40
     )
+    with pytest.raises(InvalidArgumentError, match="unknown tmsv config key 'volume'"):
+        config_from_dict({"volume": "11"}, TmsvConfig, "tmsv")
     with pytest.raises(InvalidArgumentError):
-        tmsv_config_from_dict({"volume": "11"})
-    with pytest.raises(InvalidArgumentError):
-        tmsv_config_from_dict({"n_bins": "four"})
+        config_from_dict({"n_bins": "four"}, TmsvConfig, "tmsv")
 
 
 def test_catalysis_config_from_dict():
-    config = catalysis_config_from_dict(
+    config = config_from_dict(
         {
             "alpha": "1.5",
             "reflectivities": "0.0, 0.5, 1.0",
             "herald_detector": "uniform:4,0.5",
             "expected_events": "100",
-        }
+        },
+        CatalysisSweepConfig,
+        "catalysis",
     )
     assert config.alpha == 1.5
     assert config.reflectivities == (0.0, 0.5, 1.0)
     assert config.herald_detector == DetectorModel(4, efficiency=0.5)
     assert config.expected_events == 100.0
     for herald in ("pnr", "PNR", "none", "None"):
-        assert catalysis_config_from_dict({"herald_detector": herald}).herald_detector is None
+        config = config_from_dict({"herald_detector": herald}, CatalysisSweepConfig, "catalysis")
+        assert config.herald_detector is None
 
 
 CONFIG_KEYS = sorted(
@@ -230,12 +234,9 @@ config_lines = st.one_of(
 @given(lines=st.lists(config_lines, max_size=6))
 def test_fuzzed_config_text_gives_a_config_or_invalid_argument(lines):
     text = "\n".join(lines)
-    for from_dict, cls in (
-        (tmsv_config_from_dict, TmsvConfig),
-        (catalysis_config_from_dict, CatalysisSweepConfig),
-    ):
+    for cls, label in ((TmsvConfig, "tmsv"), (CatalysisSweepConfig, "catalysis")):
         try:
-            config = from_dict(parse_config(text))
+            config = config_from_dict(parse_config(text), cls, label)
         except InvalidArgumentError:
             continue
         assert isinstance(config, cls)
